@@ -49,6 +49,44 @@ BM_TlbInsertEvict(benchmark::State &state)
 }
 BENCHMARK(BM_TlbInsertEvict);
 
+// Flush cost at x86 capacity (1536 entries) against the live-entry count
+// (Arg).  In the paper benches most flushes reach TLBs holding a few
+// entries, so the few-live arms are the hot path.  The perf-smoke gate
+// bounds each few-live arm as a fraction of its full arm, which only a
+// flush that scales with capacity rather than live entries can break.
+
+void
+BM_TlbFlushAll(benchmark::State &state)
+{
+    // Refill Arg entries over four ASIDs, then flush them all.
+    const hw::Vpn live = static_cast<hw::Vpn>(state.range(0));
+    hw::Tlb tlb(hw::ArchParams::x86().tlb_entries);
+    for (auto _ : state) {
+        for (hw::Vpn v = 0; v < live; ++v)
+            tlb.insert(static_cast<hw::Asid>(1 + v % 4), v, {});
+        tlb.flush_all();
+        benchmark::DoNotOptimize(tlb.size());
+    }
+}
+BENCHMARK(BM_TlbFlushAll)->Arg(8)->Arg(1536);
+
+void
+BM_TlbFlushAsid(benchmark::State &state)
+{
+    // Arg entries of ASID 1 stay resident; each iteration caches one ASID 2
+    // translation and flushes ASID 2, so the walk passes every live entry.
+    const hw::Vpn live = static_cast<hw::Vpn>(state.range(0));
+    hw::Tlb tlb(hw::ArchParams::x86().tlb_entries);
+    for (hw::Vpn v = 0; v < live; ++v)
+        tlb.insert(1, v, {});
+    for (auto _ : state) {
+        tlb.insert(2, 0, {});
+        tlb.flush_asid(2);
+        benchmark::DoNotOptimize(tlb.size());
+    }
+}
+BENCHMARK(BM_TlbFlushAsid)->Arg(8)->Arg(1536);
+
 void
 BM_TlbSetAssocConflict(benchmark::State &state)
 {

@@ -13,7 +13,9 @@ plus a multiplicative threshold.  A case fails when
 i.e. the gate only catches gross regressions (default threshold 2.0) so
 that CI-runner noise and slower machines do not flap the build; the
 intent is to catch an accidental return to O(n)/hashed hot paths, not
-5% drift.  Exits non-zero listing every failing case.
+5% drift.  The "ratios" and "scaling" sections compare cases measured in
+the same run, so they hold on any host speed.  Exits non-zero listing
+every failing case.
 """
 
 import json
@@ -59,6 +61,31 @@ def check_scaling(ref, records, failures):
             f"(limit {limit} on a {cpus}-CPU host)")
 
 
+def check_ratios(ref, measured, failures):
+    """Same-run complexity gates (reference key "ratios").
+
+    Each entry bounds the CPU time of one case as a fraction of another
+    measured in the same run: measured[case] / measured[over] must not
+    exceed max_ratio.  Pairing a few-live-entries TLB flush with a
+    full-TLB flush this way fails when a flush goes back to costing
+    O(capacity) instead of O(live entries), whatever the host's speed.
+    """
+    for spec in ref.get("ratios", []):
+        case, over = spec["case"], spec["over"]
+        if case not in measured or over not in measured:
+            failures.append(f"{case} / {over}: missing from the run")
+            continue
+        ratio = measured[case] / measured[over]
+        limit = float(spec["max_ratio"])
+        verdict = "ok" if ratio <= limit else "FAIL"
+        print(f"{case} / {over}: {measured[case]:.2f} / "
+              f"{measured[over]:.2f} ns = ratio {ratio:.4f} "
+              f"(limit {limit}) {verdict}")
+        if ratio > limit:
+            failures.append(
+                f"{case}: {ratio:.4f}x of {over} (limit {limit})")
+
+
 def main(argv):
     if len(argv) != 3:
         sys.exit(__doc__)
@@ -92,6 +119,7 @@ def main(argv):
                 f"{case}: {got:.2f} ns/op exceeds {limit:.2f} "
                 f"({ref_ns} * {threshold})")
 
+    check_ratios(ref, measured, failures)
     check_scaling(ref, records, failures)
 
     if failures:

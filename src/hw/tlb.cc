@@ -59,15 +59,9 @@ Tlb::index_insert(Key key, std::uint32_t slot)
 void
 Tlb::index_erase(Key key)
 {
-    std::size_t pos = ideal_pos(key);
-    while (true) {
-        Cell &cell = index_[pos];
-        if (cell.slot == kNil)
-            return;  // Not present (caller guarantees it is; be safe).
-        if (cell.key == key)
-            break;
-        pos = (pos + 1) & index_mask_;
-    }
+    std::size_t pos = index_pos(key);
+    if (index_[pos].slot == kNil)
+        return;  // Not present (caller guarantees it is; be safe).
     // Backward-shift deletion (Knuth 6.4, algorithm R): keep probe chains
     // contiguous without tombstones.
     std::size_t hole = pos;
@@ -99,7 +93,6 @@ Tlb::remove_slot(std::uint32_t slot)
     list_unlink(slot);
     --set_size_[s.set];
     --size_;
-    s.used = false;
     s.prev = kNil;
     s.next = free_head_;
     free_head_ = slot;
@@ -132,7 +125,6 @@ Tlb::insert(Asid asid, Vpn vpn, const TlbEntry &entry)
     s.key = key;
     s.set = static_cast<std::uint32_t>(set);
     s.entry = entry;
-    s.used = true;
     list_push_front(fresh);
     ++set_size_[set];
     ++size_;
@@ -146,17 +138,32 @@ Tlb::flush_all()
     tm::metric_add(tm::Metric::kTlbFlush, 1, owner_);
     if (size_ == 0)
         return;
-    std::fill(index_.begin(), index_.end(), Cell{});
-    for (std::size_t i = 0; i < slot_count_; ++i) {
-        slots_[i].used = false;
-        slots_[i].prev = kNil;
-        slots_[i].next =
-            i + 1 < slot_count_ ? static_cast<std::uint32_t>(i + 1) : kNil;
+    // Two passes over the live lists.  The first parks each entry's index
+    // position in its `prev` link (the walk follows `next`, and the lists
+    // are discarded anyway) while every probe chain is still intact; the
+    // second empties exactly those cells and frees the slots.  Clearing
+    // cells without backward shifts is sound only because every cell is
+    // emptied before the index is probed again.
+    for (std::size_t set = 0; set < num_sets_; ++set) {
+        for (std::uint32_t i = set_head_[set]; i != kNil; i = slots_[i].next)
+            slots_[i].prev =
+                static_cast<std::uint32_t>(index_pos(slots_[i].key));
     }
-    free_head_ = 0;
-    std::fill(set_head_.begin(), set_head_.end(), kNil);
-    std::fill(set_tail_.begin(), set_tail_.end(), kNil);
-    std::fill(set_size_.begin(), set_size_.end(), 0);
+    for (std::size_t set = 0; set < num_sets_; ++set) {
+        std::uint32_t i = set_head_[set];
+        while (i != kNil) {
+            Slot &s = slots_[i];
+            std::uint32_t next = s.next;
+            index_[s.prev].slot = kNil;
+            s.prev = kNil;
+            s.next = free_head_;
+            free_head_ = i;
+            i = next;
+        }
+        set_head_[set] = kNil;
+        set_tail_[set] = kNil;
+        set_size_[set] = 0;
+    }
     size_ = 0;
 }
 
@@ -165,9 +172,14 @@ Tlb::flush_asid(Asid asid)
 {
     ++stats_.flushes_asid;
     tm::metric_add(tm::Metric::kTlbFlush, 1, owner_);
-    for (std::uint32_t i = 0; i < slot_count_; ++i) {
-        if (slots_[i].used && (slots_[i].key >> 48) == asid)
-            remove_slot(i);
+    for (std::size_t set = 0; set < num_sets_; ++set) {
+        std::uint32_t i = set_head_[set];
+        while (i != kNil) {
+            std::uint32_t next = slots_[i].next;  // remove_slot relinks i.
+            if ((slots_[i].key >> 48) == asid)
+                remove_slot(i);
+            i = next;
+        }
     }
 }
 

@@ -104,8 +104,9 @@ class Process {
         const Vdr *vdr = task.vdr();
         if (!vdr)
             return;
-        for (const auto &[pdom, vdomid] : vds.mapped_pairs())
+        vds.for_each_mapped([&](hw::Pdom pdom, VdomId vdomid) {
             core.perm_reg().set(pdom, to_hw_perm(vdr->get(vdomid)));
+        });
     }
 
     /// Installs \p vds's pgd + ASID on \p core (no residency changes).

@@ -151,10 +151,7 @@ std::vector<std::pair<hw::Pdom, VdomId>>
 Vds::mapped_pairs() const
 {
     std::vector<std::pair<hw::Pdom, VdomId>> out;
-    for (hw::Pdom p = first_usable_; p < params_->num_pdoms; ++p) {
-        if (map_[p].vdom != kInvalidVdom)
-            out.emplace_back(p, map_[p].vdom);
-    }
+    for_each_mapped([&](hw::Pdom p, VdomId v) { out.emplace_back(p, v); });
     return out;
 }
 

@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "hw/arch.h"
@@ -155,7 +157,30 @@ class Vds {
                   const std::function<bool(VdomId)> &evictable,
                   const std::function<bool(VdomId)> &pinned) const;
 
-    /// Mapped (pdom, vdom) pairs, for migration planning and debugging.
+    /// Calls \p fn(pdom, vdom) for every mapped pair in pdom order,
+    /// without allocating: the context-switch path runs this.  A visitor
+    /// returning bool stops the walk by returning true, and the call then
+    /// returns true (an any_of); a void visitor sees every pair.
+    template <typename Fn>
+    bool
+    for_each_mapped(Fn &&fn) const
+    {
+        for (hw::Pdom p = first_usable_; p < params_->num_pdoms; ++p) {
+            VdomId v = map_[p].vdom;
+            if (v == kInvalidVdom)
+                continue;
+            if constexpr (std::is_void_v<
+                              std::invoke_result_t<Fn &, hw::Pdom, VdomId>>) {
+                fn(p, v);
+            } else if (fn(p, v)) {
+                return true;
+            }
+        }
+        return false;
+    }
+
+    /// Mapped (pdom, vdom) pairs as a vector, for cold callers
+    /// (introspection, checkers, tests); hot paths use for_each_mapped.
     std::vector<std::pair<hw::Pdom, VdomId>> mapped_pairs() const;
 
     // --- residency --------------------------------------------------------

@@ -10,10 +10,17 @@
 ///
 /// The default (fully associative) geometry must be bit-identical — that is
 /// what the paper-reproduction results were produced with.  Real set-
-/// associative geometries (ways > 0) intentionally differ: conflict misses
-/// change the eviction sequence.  That difference is pinned, not hidden:
-/// the set-assoc cases assert determinism, capacity bounds, and that the
-/// divergence shows up as a nonzero assoc_conflict count.
+/// associative geometries (ways > 0) intentionally differ from global LRU:
+/// conflict misses change the eviction sequence.  They are replayed against
+/// a per-set reference instead (one old-policy LRU per set, `ways` deep),
+/// and the set-assoc cases also pin determinism, capacity bounds, and that
+/// the divergence shows up as a nonzero assoc_conflict count.
+///
+/// A second, flush-dense trace flushes every few operations, so the live
+/// entries stay far below capacity: the case the live-list flush walk is
+/// built for.  It covers flushes of an empty TLB, flushes of an ASID with
+/// no entries, refilling past full capacity after a full flush (free-list
+/// reuse, then eviction), and lookups with the kTlbEntryDrop fault armed.
 
 #include <cstdint>
 #include <list>
@@ -25,6 +32,7 @@
 
 #include "hw/arch.h"
 #include "hw/tlb.h"
+#include "sim/fault.h"
 
 namespace vdom::hw {
 namespace {
@@ -102,6 +110,12 @@ class ReferenceTlb {
         map_.clear();
     }
 
+    bool
+    contains(Asid asid, Vpn vpn) const
+    {
+        return map_.count(make_key(asid, vpn)) != 0;
+    }
+
     std::size_t size() const { return map_.size(); }
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
@@ -130,6 +144,97 @@ class ReferenceTlb {
     std::uint64_t evictions_ = 0;
 };
 
+/// Reference for a whole TLB geometry: one old-policy LRU per set, each
+/// `ways` deep, with sets picked by the TLB's own set function (one set
+/// for the fully-associative default).  It also mirrors an armed
+/// kTlbEntryDrop site firing on every `drop_every`-th lookup that would
+/// hit, and counts conflict evictions the way Tlb::Stats does.
+class ReferenceModel {
+  public:
+    explicit ReferenceModel(const Tlb &geometry, std::uint64_t drop_every = 0)
+        : geometry_(&geometry), drop_every_(drop_every)
+    {
+        sets_.assign(geometry.num_sets(), ReferenceTlb(geometry.ways()));
+    }
+
+    std::optional<TlbEntry>
+    lookup(Asid asid, Vpn vpn)
+    {
+        ReferenceTlb &set = set_for(asid, vpn);
+        if (drop_every_ != 0 && set.contains(asid, vpn) &&
+            ++drop_occurrences_ % drop_every_ == 0) {
+            set.flush_range(asid, vpn, 1);
+            ++drops_;
+        }
+        return set.lookup(asid, vpn);
+    }
+
+    void
+    insert(Asid asid, Vpn vpn, const TlbEntry &entry)
+    {
+        ReferenceTlb &set = set_for(asid, vpn);
+        bool room = size() < sets_.size() * geometry_->ways();
+        std::uint64_t before = set.evictions();
+        set.insert(asid, vpn, entry);
+        if (room && set.evictions() > before)
+            ++conflicts_;
+    }
+
+    void
+    flush_asid(Asid asid)
+    {
+        for (ReferenceTlb &set : sets_)
+            set.flush_asid(asid);
+    }
+
+    std::uint64_t
+    flush_range(Asid asid, Vpn vpn, std::uint64_t count)
+    {
+        std::uint64_t touched = 0;
+        for (std::uint64_t i = 0; i < count; ++i)
+            touched += set_for(asid, vpn + i).flush_range(asid, vpn + i, 1);
+        return touched;
+    }
+
+    void
+    flush_all()
+    {
+        for (ReferenceTlb &set : sets_)
+            set.flush_all();
+    }
+
+    std::size_t size() const { return sum(&ReferenceTlb::size); }
+    std::uint64_t hits() const { return sum(&ReferenceTlb::hits); }
+    std::uint64_t misses() const { return sum(&ReferenceTlb::misses); }
+    std::uint64_t evictions() const { return sum(&ReferenceTlb::evictions); }
+    std::uint64_t conflicts() const { return conflicts_; }
+    std::uint64_t drops() const { return drops_; }
+
+  private:
+    ReferenceTlb &
+    set_for(Asid asid, Vpn vpn)
+    {
+        return sets_[geometry_->set_index(asid, vpn)];
+    }
+
+    template <typename T>
+    T
+    sum(T (ReferenceTlb::*stat)() const) const
+    {
+        T total = 0;
+        for (const ReferenceTlb &set : sets_)
+            total += (set.*stat)();
+        return total;
+    }
+
+    const Tlb *geometry_;
+    std::vector<ReferenceTlb> sets_;
+    std::uint64_t drop_every_;
+    std::uint64_t drop_occurrences_ = 0;
+    std::uint64_t drops_ = 0;
+    std::uint64_t conflicts_ = 0;
+};
+
 /// One recorded trace operation.
 struct Op {
     enum class Kind : std::uint8_t {
@@ -145,6 +250,9 @@ struct Op {
     std::uint64_t count;  ///< kFlushRange page count.
     Pdom pdom;            ///< kInsert entry payload.
 };
+
+/// An ASID the traces never insert under.
+constexpr Asid kAbsentAsid = 99;
 
 std::uint64_t
 xorshift(std::uint64_t &state)
@@ -187,17 +295,80 @@ record_trace(std::size_t capacity, std::uint64_t seed)
     return trace;
 }
 
-/// Replays \p trace through both models, asserting identical per-op
-/// outcomes and running stats.
-void
-replay_against_reference(std::size_t capacity, std::uint64_t seed)
+/// Records a flush-dense trace.  It opens with flushes of an empty TLB
+/// and of an absent ASID, then twice refills 1.5x capacity after a full
+/// flush (every freed slot is reused before LRU eviction starts), and
+/// ends with 10k ops over a 256-entry working set where roughly one op in
+/// six is a flush, so the live entries stay far below capacity.
+std::vector<Op>
+record_flush_dense_trace(std::size_t capacity, std::uint64_t seed)
 {
-    ReferenceTlb ref(capacity);
-    Tlb tlb(capacity);  // Default geometry: fully associative.
-    ASSERT_EQ(tlb.num_sets(), 1u);
-    ASSERT_EQ(tlb.ways(), capacity);
+    std::vector<Op> trace;
+    std::uint64_t rng = seed;
+    trace.push_back({Op::Kind::kFlushAll, 0, 0, 0, 0});
+    trace.push_back({Op::Kind::kFlushAsid, 1, 0, 0, 0});
+    trace.push_back({Op::Kind::kFlushAsid, kAbsentAsid, 0, 0, 0});
+    trace.push_back({Op::Kind::kLookup, 1, 0x1000, 0, 0});
+    for (int round = 0; round < 2; ++round) {
+        const std::uint64_t fill = capacity + capacity / 2;
+        for (std::uint64_t i = 0; i < fill; ++i) {
+            std::uint64_t r = xorshift(rng);
+            Asid asid = static_cast<Asid>(1 + i % 4);
+            trace.push_back({Op::Kind::kInsert, asid, 0x1000 + i, 0,
+                             static_cast<Pdom>(r % 16)});
+            if (i % 3 == 0) {
+                Vpn back = 0x1000 + (r >> 16) % (i + 1);
+                trace.push_back({Op::Kind::kLookup,
+                                 static_cast<Asid>(1 + (back - 0x1000) % 4),
+                                 back, 0, 0});
+            }
+        }
+        trace.push_back({Op::Kind::kFlushAsid, kAbsentAsid, 0, 0, 0});
+        trace.push_back({Op::Kind::kFlushAll, 0, 0, 0, 0});
+    }
+    for (int i = 0; i < 10000; ++i) {
+        std::uint64_t r = xorshift(rng);
+        Asid asid = static_cast<Asid>(1 + (r >> 8) % 4);
+        Vpn vpn = 0x1000 + (r >> 16) % 64;
+        if (r % 6 == 0) {
+            switch ((r >> 4) % 4) {
+              case 0:
+                trace.push_back({Op::Kind::kFlushAll, 0, 0, 0, 0});
+                break;
+              case 1:
+                trace.push_back({Op::Kind::kFlushAsid, asid, 0, 0, 0});
+                break;
+              case 2:
+                trace.push_back({Op::Kind::kFlushAsid, kAbsentAsid, 0, 0, 0});
+                break;
+              default:
+                trace.push_back(
+                    {Op::Kind::kFlushRange, asid, vpn, 1 + r % 16, 0});
+                break;
+            }
+        } else if ((r >> 32) % 2 == 0) {
+            trace.push_back({Op::Kind::kLookup, asid, vpn, 0, 0});
+        } else {
+            trace.push_back({Op::Kind::kInsert, asid, vpn, 0,
+                             static_cast<Pdom>(r % 16)});
+        }
+    }
+    return trace;
+}
 
-    std::vector<Op> trace = record_trace(capacity, seed);
+/// Replays \p trace through \p tlb and a reference model of its geometry,
+/// asserting identical per-op outcomes (hit/miss, returned entry,
+/// range-flush counts) and running stats.  With \p drop_every nonzero the
+/// kTlbEntryDrop site is armed to fire on every drop_every-th hitting
+/// lookup, and the reference drops the same entries.
+void
+replay(Tlb &tlb, const std::vector<Op> &trace, std::uint64_t drop_every = 0)
+{
+    ReferenceModel ref(tlb, drop_every);
+    sim::FaultPlan plan;
+    if (drop_every != 0)
+        plan.arm(sim::FaultSite::kTlbEntryDrop, {.every = drop_every});
+    sim::ScopedFaults faults(plan);
     for (std::size_t i = 0; i < trace.size(); ++i) {
         const Op &op = trace[i];
         switch (op.kind) {
@@ -234,9 +405,38 @@ replay_against_reference(std::size_t capacity, std::uint64_t seed)
         ASSERT_EQ(ref.hits(), tlb.stats().hits) << "op " << i;
         ASSERT_EQ(ref.misses(), tlb.stats().misses) << "op " << i;
         ASSERT_EQ(ref.evictions(), tlb.stats().evictions) << "op " << i;
+        ASSERT_EQ(ref.conflicts(), tlb.stats().assoc_conflicts) << "op " << i;
+        ASSERT_EQ(ref.drops(), tlb.stats().fault_drops) << "op " << i;
     }
+    EXPECT_EQ(drop_every != 0, tlb.stats().fault_drops > 0);
+}
+
+/// Replays the mixed trace through a default-geometry TLB against the
+/// old global LRU.
+void
+replay_against_reference(std::size_t capacity, std::uint64_t seed)
+{
+    Tlb tlb(capacity);  // Default geometry: fully associative.
+    ASSERT_EQ(tlb.num_sets(), 1u);
+    ASSERT_EQ(tlb.ways(), capacity);
+    replay(tlb, record_trace(capacity, seed));
     // Fully associative mode must never report a conflict eviction.
     EXPECT_EQ(tlb.stats().assoc_conflicts, 0u);
+}
+
+/// Replays the flush-dense trace through a default-geometry TLB against
+/// the old global LRU, and checks the trace really ran with the TLB both
+/// full (refill phase) and mostly empty (dense phase).
+void
+replay_flush_dense(std::size_t capacity, std::uint64_t seed,
+                   std::uint64_t drop_every)
+{
+    Tlb tlb(capacity);
+    std::vector<Op> trace = record_flush_dense_trace(capacity, seed);
+    replay(tlb, trace, drop_every);
+    EXPECT_GT(tlb.stats().evictions, 0u);
+    EXPECT_GT(tlb.stats().flushes_all, 100u);
+    EXPECT_LE(tlb.size(), 256u);
 }
 
 TEST(TlbReplay, X86CapacityMatchesOldLruExactly)
@@ -259,6 +459,18 @@ TEST(TlbReplay, TinyCapacitiesMatchOldLruExactly)
     // sole resident entry on every insert; new code models it as one way).
     replay_against_reference(1, 12345);
     replay_against_reference(2, 999);
+}
+
+TEST(TlbReplay, FlushDenseTraceMatchesOldLruAtBothCapacities)
+{
+    replay_flush_dense(ArchParams::x86().tlb_entries, 0x51ed2701u, 0);
+    replay_flush_dense(ArchParams::arm().tlb_entries, 0x0ddba11u, 0);
+}
+
+TEST(TlbReplay, FlushDenseTraceWithEntryDropsMatchesOldLru)
+{
+    replay_flush_dense(ArchParams::x86().tlb_entries, 0x51ed2701u, 7);
+    replay_flush_dense(ArchParams::arm().tlb_entries, 0x0ddba11u, 3);
 }
 
 TEST(TlbReplay, WaysEqualCapacityIsTheSameAsDefault)
@@ -307,6 +519,24 @@ TEST(TlbReplay, SetAssocGeometryRoundsToPowerOfTwoSets)
     EXPECT_EQ(odd.num_sets(), 128u);
     EXPECT_EQ(odd.ways(), 12u);
     EXPECT_LE(odd.num_sets() * odd.ways(), 1536u);
+}
+
+TEST(TlbReplay, SetAssocMatchesPerSetReference)
+{
+    // Both traces, at the two machine capacities split into 8-way sets,
+    // with and without injected entry drops.  The flush-dense trace's
+    // refill phase is what forces conflict evictions.
+    for (std::size_t capacity :
+         {ArchParams::x86().tlb_entries, ArchParams::arm().tlb_entries}) {
+        for (std::uint64_t drop_every : {0u, 5u}) {
+            Tlb mixed(capacity, 0, 8);
+            replay(mixed, record_trace(capacity, 42 + capacity), drop_every);
+            Tlb dense(capacity, 0, 8);
+            replay(dense, record_flush_dense_trace(capacity, 7 + capacity),
+                   drop_every);
+            EXPECT_GT(dense.stats().assoc_conflicts, 0u);
+        }
+    }
 }
 
 TEST(TlbReplay, SetAssocIsDeterministic)
