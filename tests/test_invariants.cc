@@ -17,13 +17,28 @@ namespace {
 using kernel::Task;
 using ::vdom::testing::World;
 
+/// gtest names each case after the raw bytes of its parameter, so the
+/// padding is spelled out and zeroed: implicit padding would leak stack
+/// contents into the test names and change them on every run.
 struct SweepParam {
+    SweepParam(hw::ArchKind arch_, std::size_t threads_,
+               std::size_t domains_, std::uint64_t seed_,
+               hw::DesignKnobs knobs_ = {})
+        : arch(arch_), threads(threads_), domains(domains_), seed(seed_),
+          knobs(knobs_)
+    {
+    }
+
     hw::ArchKind arch;
+    std::uint32_t pad0 = 0;
     std::size_t threads;
     std::size_t domains;
     std::uint64_t seed;
-    hw::DesignKnobs knobs = {};
+    hw::DesignKnobs knobs;
+    std::uint32_t pad1 = 0;
 };
+static_assert(sizeof(SweepParam) ==
+              sizeof(hw::ArchKind) + 4 + 3 * 8 + sizeof(hw::DesignKnobs) + 4);
 
 class InvariantSweep : public ::testing::TestWithParam<SweepParam> {};
 
