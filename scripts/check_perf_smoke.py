@@ -68,7 +68,9 @@ def check_ratios(ref, measured, failures):
     measured in the same run: measured[case] / measured[over] must not
     exceed max_ratio.  Pairing a few-live-entries TLB flush with a
     full-TLB flush this way fails when a flush goes back to costing
-    O(capacity) instead of O(live entries), whatever the host's speed.
+    O(capacity) instead of O(live entries), whatever the host's speed;
+    pairing an x86-capacity TLB's construction with a 16-entry one's
+    does the same for construction.
     """
     for spec in ref.get("ratios", []):
         case, over = spec["case"], spec["over"]

@@ -1,12 +1,13 @@
 /// \file
 /// TLB model implementation: flat set-associative array with exact per-set
-/// LRU, indexed by an open-addressing hash table (no per-entry allocation
-/// on any path).
+/// LRU, indexed by an open-addressing hash table.  Storage grows with the
+/// peak number of live entries; no path allocates per entry.
 
 #include "hw/tlb.h"
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "sim/fault.h"
 #include "telemetry/metrics.h"
@@ -32,19 +33,40 @@ Tlb::Tlb(std::size_t capacity, std::size_t owner, std::size_t ways)
         ways_ = effective / num_sets_;
     }
     slot_count_ = num_sets_ * ways_;
-    slots_.resize(slot_count_);
-    free_head_ = 0;
-    for (std::size_t i = 0; i + 1 < slot_count_; ++i)
-        slots_[i].next = static_cast<std::uint32_t>(i + 1);
-    slots_[slot_count_ - 1].next = kNil;
+    slots_.reserve(slot_count_);
     set_head_.assign(num_sets_, kNil);
     set_tail_.assign(num_sets_, kNil);
     set_size_.assign(num_sets_, 0);
-    std::size_t index_size = std::bit_ceil(std::max<std::size_t>(
-        std::size_t{8}, slot_count_ * 2));
-    index_.assign(index_size, Cell{});
-    index_mask_ = index_size - 1;
-    hash_shift_ = 64 - static_cast<unsigned>(std::bit_width(index_size) - 1);
+    index_reset(std::min(kIndexInitialCells, index_max_cells()));
+}
+
+std::size_t
+Tlb::index_max_cells() const
+{
+    return std::bit_ceil(std::max<std::size_t>(8, slot_count_ * 2));
+}
+
+void
+Tlb::index_reset(std::size_t cells)
+{
+    index_.assign(cells, Cell{});
+    index_mask_ = cells - 1;
+    hash_shift_ = 64 - static_cast<unsigned>(std::bit_width(cells) - 1);
+    grow_at_ = cells < index_max_cells()
+        ? cells / kIndexGrowLoad
+        : std::numeric_limits<std::size_t>::max();
+}
+
+void
+Tlb::index_grow()
+{
+    std::vector<Cell> old;
+    old.swap(index_);
+    index_reset(std::min(old.size() * kIndexGrowth, index_max_cells()));
+    for (const Cell &cell : old) {
+        if (cell.slot != kNil)
+            index_insert(cell.key, cell.slot);
+    }
 }
 
 void
@@ -120,7 +142,12 @@ Tlb::insert(Asid asid, Vpn vpn, const TlbEntry &entry)
         remove_slot(victim);
     }
     std::uint32_t fresh = free_head_;
-    free_head_ = slots_[fresh].next;
+    if (fresh != kNil) {
+        free_head_ = slots_[fresh].next;
+    } else {
+        fresh = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    }
     Slot &s = slots_[fresh];
     s.key = key;
     s.set = static_cast<std::uint32_t>(set);
@@ -128,6 +155,8 @@ Tlb::insert(Asid asid, Vpn vpn, const TlbEntry &entry)
     list_push_front(fresh);
     ++set_size_[set];
     ++size_;
+    if (size_ > grow_at_)
+        index_grow();
     index_insert(key, fresh);
 }
 

@@ -28,10 +28,18 @@ struct TlbEntry {
 /// model tracks hit/miss/flush statistics; the MMU charges walk cycles for
 /// misses and the shootdown manager charges flush cycles.
 ///
-/// Storage is flat (no per-entry allocation): a fixed slot array threaded
-/// with per-set intrusive LRU lists, indexed by an open-addressing hash
-/// table.  The default geometry is fully associative (one set of
-/// `capacity` ways), whose eviction order is bit-identical to the previous
+/// Storage is flat (no per-entry allocation): a slot array threaded with
+/// per-set intrusive LRU lists, indexed by an open-addressing hash table.
+/// Both grow with the peak number of live entries, so construction is
+/// O(sets) and touches no per-entry storage: slots are appended on first
+/// use (capacity is only reserved), and the index starts at 32 cells and
+/// grows 8x before its load would pass 25%, up to its full size (2x the
+/// slot count, rounded up to a power of two).  Neither shrinks on a
+/// flush.  Index positions are never observable (eviction follows the
+/// LRU lists), so growth changes no result.
+///
+/// The default geometry is fully associative (one set of `capacity`
+/// ways), whose eviction order is bit-identical to the previous
 /// `unordered_map` + `list` global-LRU implementation — proven by the
 /// golden-replay test in tests/test_tlb_replay.cc.  Passing `ways` selects
 /// a real set-associative geometry (sets is the largest power of two
@@ -101,6 +109,13 @@ class Tlb {
     using Key = std::uint64_t;
 
     static constexpr std::uint32_t kNil = 0xffffffffu;
+    static constexpr std::size_t kIndexInitialCells = 32;
+    static constexpr std::size_t kIndexGrowth = 8;
+    /// The index grows before its load would pass 1/kIndexGrowLoad.  A
+    /// miss probes until it finds an empty cell: at 1/2 (from 16 cells),
+    /// BM_TlbLookupPartial/500 ran ~25% slower than with a full-size
+    /// index, at 1/4 (from 32 cells) ~15%.
+    static constexpr std::size_t kIndexGrowLoad = 4;
 
     static Key
     make_key(Asid asid, Vpn vpn)
@@ -126,11 +141,6 @@ class Tlb {
         std::uint32_t next = kNil;  ///< Towards LRU.
         std::uint32_t set = 0;
         TlbEntry entry;
-        /// Fills the tail padding.  With padding bytes left, GCC
-        /// value-initialises the slot array field by field instead of in
-        /// two wide stores per slot, which made Tlb construction (most of
-        /// an x86 world's set-up) about 25% slower.
-        std::uint16_t pad = 0;
     };
 
     /// Open-addressing index cell (linear probing, ≤50% load).
@@ -168,6 +178,17 @@ class Tlb {
 
     void index_insert(Key key, std::uint32_t slot);
     void index_erase(Key key);
+
+    /// Allocates an empty index of \p cells (a power of two) and sets the
+    /// probe mask and hash shift for it.
+    void index_reset(std::size_t cells);
+
+    /// Index size that keeps a full TLB at most half loaded.
+    std::size_t index_max_cells() const;
+
+    /// Grows the index 8x (capped at index_max_cells()), re-inserting the
+    /// live cells in one sequential scan of the old array.
+    void index_grow();
 
     void
     list_unlink(std::uint32_t slot)
@@ -215,12 +236,14 @@ class Tlb {
     std::size_t owner_ = 0;
     std::size_t size_ = 0;
 
-    std::vector<Slot> slots_;
-    std::uint32_t free_head_ = kNil;  ///< Free slots chained via `next`.
+    std::vector<Slot> slots_;  ///< Grows on demand up to slot_count_.
+    std::uint32_t free_head_ = kNil;  ///< Freed slots chained via `next`.
     std::vector<std::uint32_t> set_head_;  ///< Per-set MRU.
     std::vector<std::uint32_t> set_tail_;  ///< Per-set LRU.
     std::vector<std::uint32_t> set_size_;
-    std::vector<Cell> index_;
+    std::vector<Cell> index_;  ///< Never more than half full.
+    std::size_t grow_at_ = 0;  ///< Live count past which the index grows
+                               ///  (none once it is at full size).
     std::size_t index_mask_ = 0;
     unsigned hash_shift_ = 63;  ///< 64 - log2(index size).
     Stats stats_;

@@ -21,11 +21,19 @@
 /// built for.  It covers flushes of an empty TLB, flushes of an ASID with
 /// no entries, refilling past full capacity after a full flush (free-list
 /// reuse, then eviction), and lookups with the kTlbEntryDrop fault armed.
+///
+/// A third, growth-boundary trace walks the TLB's storage through every
+/// step of its growth: the index starts small and grows as live entries
+/// pass 8, 64 and 512, and slots are appended on first use up to the full
+/// capacity.  Each step is followed at once by a range, ASID and full
+/// flush, and the trace ends by refilling to 1.5x capacity.
 
+#include <algorithm>
 #include <cstdint>
 #include <list>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -356,13 +364,89 @@ record_flush_dense_trace(std::size_t capacity, std::uint64_t seed)
     return trace;
 }
 
+/// Live-entry counts whose next insert grows the TLB index (32 cells,
+/// 8x per step, kept at most a quarter full below its full size).
+constexpr std::uint64_t kIndexGrowthSteps[] = {8, 64, 512};
+
+/// The last index growth step a TLB of \p capacity slots can cross.
+std::uint64_t
+last_growth_step(std::size_t capacity)
+{
+    std::uint64_t last = 0;
+    for (std::uint64_t step : kIndexGrowthSteps) {
+        if (step < capacity)
+            last = step;
+    }
+    return last;
+}
+
+/// Records a growth-boundary trace.  For each growth step below
+/// capacity, and then for the capacity itself, it inserts distinct
+/// translations over four ASIDs into an empty TLB until one entry past
+/// the step is live (exactly full for the capacity), then flushes a range
+/// of ASID 1, flushes ASID 2 and flushes everything, looking every
+/// inserted entry up after each of the first two.  The fill phases have
+/// no lookups, so injected drops cannot keep the live count from crossing
+/// a step.  It ends by refilling to 1.5x capacity with a lookup of an
+/// earlier entry every third insert.
+std::vector<Op>
+record_growth_trace(std::size_t capacity, std::uint64_t seed)
+{
+    std::vector<Op> trace;
+    std::uint64_t rng = seed;
+    std::uint64_t next = 0;  // Key counter: every phase uses fresh keys.
+    auto key_of = [](std::uint64_t i) {
+        return std::pair<Asid, Vpn>{static_cast<Asid>(1 + i % 4),
+                                    0x1000 + i};
+    };
+    auto insert = [&](std::uint64_t i) {
+        auto [asid, vpn] = key_of(i);
+        trace.push_back({Op::Kind::kInsert, asid, vpn, 0,
+                         static_cast<Pdom>(xorshift(rng) % 16)});
+    };
+    auto lookup = [&](std::uint64_t i) {
+        auto [asid, vpn] = key_of(i);
+        trace.push_back({Op::Kind::kLookup, asid, vpn, 0, 0});
+    };
+    std::vector<std::uint64_t> fills;
+    for (std::uint64_t step : kIndexGrowthSteps) {
+        if (step < capacity)
+            fills.push_back(step + 1);
+    }
+    fills.push_back(capacity);
+    for (std::uint64_t fill : fills) {
+        const std::uint64_t first = next;
+        for (std::uint64_t i = 0; i < fill; ++i)
+            insert(next++);
+        trace.push_back(
+            {Op::Kind::kFlushRange, 1, 0x1000 + first, fill / 2 + 1, 0});
+        for (std::uint64_t i = first; i < next; ++i)
+            lookup(i);
+        trace.push_back({Op::Kind::kFlushAsid, 2, 0, 0, 0});
+        for (std::uint64_t i = first; i < next; ++i)
+            lookup(i);
+        trace.push_back({Op::Kind::kFlushAll, 0, 0, 0, 0});
+        lookup(first);
+    }
+    const std::uint64_t first = next;
+    const std::uint64_t refill = capacity + capacity / 2;
+    for (std::uint64_t i = 0; i < refill; ++i) {
+        insert(next++);
+        if (i % 3 == 0)
+            lookup(first + xorshift(rng) % (i + 1));
+    }
+    return trace;
+}
+
 /// Replays \p trace through \p tlb and a reference model of its geometry,
 /// asserting identical per-op outcomes (hit/miss, returned entry,
 /// range-flush counts) and running stats.  With \p drop_every nonzero the
 /// kTlbEntryDrop site is armed to fire on every drop_every-th hitting
-/// lookup, and the reference drops the same entries.
+/// lookup, and the reference drops the same entries.  \p peak_live, when
+/// given, receives the largest live-entry count the replay reached.
 void
-replay(Tlb &tlb, const std::vector<Op> &trace, std::uint64_t drop_every = 0)
+replay(Tlb &tlb, const std::vector<Op> &trace, std::uint64_t drop_every = 0,
+       std::size_t *peak_live = nullptr)
 {
     ReferenceModel ref(tlb, drop_every);
     sim::FaultPlan plan;
@@ -407,6 +491,8 @@ replay(Tlb &tlb, const std::vector<Op> &trace, std::uint64_t drop_every = 0)
         ASSERT_EQ(ref.evictions(), tlb.stats().evictions) << "op " << i;
         ASSERT_EQ(ref.conflicts(), tlb.stats().assoc_conflicts) << "op " << i;
         ASSERT_EQ(ref.drops(), tlb.stats().fault_drops) << "op " << i;
+        if (peak_live)
+            *peak_live = std::max(*peak_live, tlb.size());
     }
     EXPECT_EQ(drop_every != 0, tlb.stats().fault_drops > 0);
 }
@@ -471,6 +557,44 @@ TEST(TlbReplay, FlushDenseTraceWithEntryDropsMatchesOldLru)
 {
     replay_flush_dense(ArchParams::x86().tlb_entries, 0x51ed2701u, 7);
     replay_flush_dense(ArchParams::arm().tlb_entries, 0x0ddba11u, 3);
+}
+
+/// Replays the growth-boundary trace through a TLB of \p capacity and
+/// \p ways against its reference model, and checks the live count passed
+/// the last growth step (and, fully associative, reached capacity).
+void
+replay_growth(std::size_t capacity, std::size_t ways, std::uint64_t seed,
+              std::uint64_t drop_every)
+{
+    Tlb tlb(capacity, 0, ways);
+    std::size_t peak = 0;
+    replay(tlb, record_growth_trace(capacity, seed), drop_every, &peak);
+    EXPECT_GT(tlb.stats().evictions, 0u);
+    EXPECT_GT(peak, last_growth_step(capacity));
+    if (ways == 0) {
+        EXPECT_EQ(peak, capacity);
+    }
+}
+
+TEST(TlbReplay, GrowthBoundaryTraceMatchesOldLruAtBothCapacities)
+{
+    replay_growth(ArchParams::x86().tlb_entries, 0, 0x6a09e667u, 0);
+    replay_growth(ArchParams::arm().tlb_entries, 0, 0xbb67ae85u, 0);
+}
+
+TEST(TlbReplay, GrowthBoundaryTraceWithEntryDropsMatchesOldLru)
+{
+    replay_growth(ArchParams::x86().tlb_entries, 0, 0x6a09e667u, 7);
+    replay_growth(ArchParams::arm().tlb_entries, 0, 0xbb67ae85u, 3);
+}
+
+TEST(TlbReplay, SetAssocGrowthBoundaryTraceMatchesPerSetReference)
+{
+    for (std::size_t capacity :
+         {ArchParams::x86().tlb_entries, ArchParams::arm().tlb_entries}) {
+        for (std::uint64_t drop_every : {0u, 5u})
+            replay_growth(capacity, 8, 0x3c6ef372u + capacity, drop_every);
+    }
 }
 
 TEST(TlbReplay, WaysEqualCapacityIsTheSameAsDefault)
