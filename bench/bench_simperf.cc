@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <memory>
+#include <vector>
 
 #include "apps/pmo.h"
 #include "apps/strategy.h"
@@ -18,6 +19,7 @@
 #include "hw/mmu.h"
 #include "hw/page_table.h"
 #include "hw/tlb.h"
+#include "kernel/mm.h"
 #include "kernel/vma.h"
 #include "sim/engine.h"
 #include "sim/rng.h"
@@ -326,6 +328,73 @@ BM_PmoWorkloadStep(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(ops));
 }
 BENCHMARK(BM_PmoWorkloadStep)->Unit(benchmark::kMillisecond);
+
+void
+BM_InstallVdomInVds(benchmark::State &state)
+{
+    // Installs a 512-page (2MB) vdom area, present in the shadow, into a
+    // fresh VDS: the remap half of every vdom switch in the PMO bench.
+    // Fresh VDSes are built and torn down in batches with timing paused.
+    BenchWorld world(hw::ArchParams::x86(2));
+    kernel::MmStruct &mm = world.proc.mm();
+    hw::Core &core = world.core(0);
+    constexpr std::uint64_t kPages = 512;
+    constexpr std::size_t kBatch = 32;
+    VdomId vdom = mm.vdm().alloc(false);
+    hw::Vpn base = mm.mmap(kPages);
+    mm.assign_vdom(core, base, kPages, vdom);
+    mm.fault_in_range(core, *mm.vds0(), base, kPages);
+    std::vector<std::unique_ptr<kernel::Vds>> fresh;
+    for (auto _ : state) {
+        state.PauseTiming();
+        fresh.clear();
+        for (std::size_t i = 0; i < kBatch; ++i) {
+            fresh.push_back(
+                std::make_unique<kernel::Vds>(1, world.proc.params()));
+        }
+        state.ResumeTiming();
+        for (auto &vds : fresh) {
+            hw::PtOps ops = mm.install_vdom_in_vds(core, *vds, vdom, 2,
+                                                   hw::CostKind::kApi);
+            benchmark::DoNotOptimize(ops);
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * kBatch * kPages);
+}
+BENCHMARK(BM_InstallVdomInVds);
+
+void
+BM_FaultInRange(benchmark::State &state)
+{
+    // Pre-faults one 2MB PMO (512 pages) into a fresh address space, as
+    // run_pmo does for each of its PMOs.  Fresh address spaces are built
+    // in batches with timing paused.
+    hw::ArchParams params = hw::ArchParams::x86(1);
+    hw::Machine machine(params);
+    hw::Core &core = machine.core(0);
+    constexpr std::uint64_t kPages = 512;
+    constexpr std::size_t kBatch = 16;
+    std::vector<std::unique_ptr<kernel::MmStruct>> spaces;
+    std::vector<hw::Vpn> bases;
+    for (auto _ : state) {
+        state.PauseTiming();
+        spaces.clear();
+        bases.clear();
+        for (std::size_t i = 0; i < kBatch; ++i) {
+            spaces.push_back(
+                std::make_unique<kernel::MmStruct>(params, nullptr));
+            bases.push_back(spaces.back()->mmap(kPages));
+        }
+        state.ResumeTiming();
+        for (std::size_t i = 0; i < kBatch; ++i) {
+            kernel::MmStruct &mm = *spaces[i];
+            bool ok = mm.fault_in_range(core, *mm.vds0(), bases[i], kPages);
+            benchmark::DoNotOptimize(ok);
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * kBatch * kPages);
+}
+BENCHMARK(BM_FaultInRange);
 
 /// One simulated thread of the engine-scaling workload: MMU-heavy steps
 /// against its own process's address space (share-nothing, so every

@@ -110,8 +110,8 @@ run_pmo(hw::Machine &machine, kernel::Process &proc, Strategy &strategy,
             core0, *init_task, base, config.pmo_pages, false));
         // Pre-fault the PMO (attached persistent memory is mapped up
         // front), so steady state measures protection, not paging.
-        for (std::size_t i = 0; i < config.pmo_pages; ++i)
-            proc.mm().fault_in(core0, *proc.mm().vds0(), base + i);
+        proc.mm().fault_in_range(core0, *proc.mm().vds0(), base,
+                                 config.pmo_pages);
     }
     core0.reset();  // Setup cost is not part of the measurement.
 

@@ -5,8 +5,21 @@
 #include "hw/page_table.h"
 
 #include <algorithm>
+#include <bit>
+#include <stdexcept>
 
 namespace vdom::hw {
+
+PageTable::PageTable(std::size_t pmd_span_pages, Pdom access_never)
+    : pmd_span_(pmd_span_pages),
+      pmd_shift_(static_cast<unsigned>(std::countr_zero(pmd_span_pages))),
+      pmd_mask_(pmd_span_pages - 1),
+      access_never_(access_never)
+{
+    if (!std::has_single_bit(pmd_span_pages))
+        throw std::invalid_argument(
+            "PageTable: PMD span must be a power of two");
+}
 
 PageTable::Leaf &
 PageTable::leaf_grow(Vpn idx)
@@ -36,37 +49,6 @@ PageTable::leaf_drop(Vpn idx)
         sparse_.erase(idx);
 }
 
-Translation
-PageTable::translate(Vpn vpn) const
-{
-    Translation t;
-    Vpn idx = pmd_index(vpn);
-    const Leaf *leaf = leaf_at(idx);
-    if (!leaf)
-        return t;
-    if (leaf->kind == PmdKind::kDisabled) {
-        t.present = false;
-        t.pmd_disabled = true;
-        return t;
-    }
-    if (leaf->kind == PmdKind::kHuge) {
-        t.present = true;
-        t.huge = true;
-        t.pdom = leaf->pdom;
-        return t;
-    }
-    const Pte &pte = leaf->ptes[vpn - idx * pmd_span_];
-    if (!pte.present)
-        return t;
-    if (pte.prot_none) {
-        t.prot_none = true;
-        return t;
-    }
-    t.present = true;
-    t.pdom = pte.pdom;
-    return t;
-}
-
 PtOps
 PageTable::protect_none_range(Vpn vpn, std::uint64_t count)
 {
@@ -75,7 +57,7 @@ PageTable::protect_none_range(Vpn vpn, std::uint64_t count)
     Vpn end = vpn + count;
     while (v < end) {
         Vpn idx = pmd_index(v);
-        Vpn span_start = idx * pmd_span_;
+        Vpn span_start = idx << pmd_shift_;
         Vpn span_end = span_start + pmd_span_;
         Leaf *leaf = leaf_at(idx);
         if (leaf && leaf->kind == PmdKind::kHuge && v == span_start &&
@@ -103,7 +85,7 @@ PageTable::protect_none_range(Vpn vpn, std::uint64_t count)
 }
 
 PtOps
-PageTable::map_page(Vpn vpn, Pdom pdom)
+PageTable::map_page_slow(Vpn vpn, Pdom pdom)
 {
     PtOps ops;
     Vpn idx = pmd_index(vpn);
@@ -114,10 +96,10 @@ PageTable::map_page(Vpn vpn, Pdom pdom)
         // tags; neutralize them so re-enabling one page cannot resurrect
         // the whole evicted span.
         if (leaf.kind == PmdKind::kDisabled) {
-            Vpn base = idx * pmd_span_;
-            for (Vpn p = base; p < base + pmd_span_; ++p) {
-                Pte &pte = leaf.ptes[p - base];
-                if (pte.present && p != vpn) {
+            Vpn target = vpn & pmd_mask_;
+            for (Vpn off = 0; off < pmd_span_; ++off) {
+                Pte &pte = leaf.ptes[off];
+                if (pte.present && off != target) {
                     pte.pdom = access_never_;
                     ++ops.pte_writes;
                 }
@@ -127,13 +109,44 @@ PageTable::map_page(Vpn vpn, Pdom pdom)
         leaf.was_huge = false;
         ++ops.pmd_writes;
     }
-    Pte &pte = leaf.ptes[vpn - idx * pmd_span_];
-    if (!pte.present)
-        ++leaf.present;
-    pte.present = true;
-    pte.pdom = pdom;
+    install_pte(leaf, vpn & pmd_mask_, pdom);
     ++ops.pte_writes;
     return ops;
+}
+
+Vpn
+PageTable::map_missing_from(const PageTable &source, Vpn vpn,
+                            std::uint64_t count, Pdom pdom, PtOps &ops)
+{
+    Vpn v = vpn;
+    Vpn end = vpn + count;
+    while (v < end) {
+        Vpn idx = pmd_index(v);
+        Vpn chunk_end = std::min(end, (idx + 1) << pmd_shift_);
+        Leaf *leaf = leaf_at(idx);
+        // A huge PMD translates as present and a disabled one as
+        // pmd_disabled, for every page of the span.
+        if (leaf && leaf->kind != PmdKind::kTable)
+            return v;
+        // The source has every page of a huge span, none of a disabled
+        // one, and the live PTEs of a table.
+        const Leaf *src = source.leaf_at(idx);
+        bool src_all = src && src->kind == PmdKind::kHuge;
+        const Leaf *src_table =
+            src && src->kind == PmdKind::kTable ? src : nullptr;
+        for (; v < chunk_end; ++v) {
+            Vpn off = v & pmd_mask_;
+            if (leaf && pte_live(leaf->ptes[off]))
+                return v;
+            if (!src_all && !(src_table && pte_live(src_table->ptes[off])))
+                continue;
+            if (!leaf)
+                leaf = &leaf_grow(idx);
+            install_pte(*leaf, off, pdom);
+            ++ops.pte_writes;
+        }
+    }
+    return end;
 }
 
 PtOps
@@ -144,7 +157,7 @@ PageTable::unmap_page(Vpn vpn)
     Leaf *leaf = leaf_at(idx);
     if (!leaf || leaf->kind == PmdKind::kHuge)
         return ops;
-    Pte &pte = leaf->ptes[vpn - idx * pmd_span_];
+    Pte &pte = leaf->ptes[vpn & pmd_mask_];
     if (!pte.present)
         return ops;
     pte = Pte{};
@@ -210,7 +223,7 @@ PageTable::set_pdom_range(Vpn vpn, std::uint64_t count, Pdom pdom,
     Vpn end = vpn + count;
     while (v < end) {
         Vpn idx = pmd_index(v);
-        Vpn span_start = idx * pmd_span_;
+        Vpn span_start = idx << pmd_shift_;
         Vpn span_end = span_start + pmd_span_;
         bool covers_span = (v == span_start && end >= span_end);
         Leaf *leaf = leaf_at(idx);
@@ -282,7 +295,7 @@ PageTable::disable_range(Vpn vpn, std::uint64_t count, Pdom access_never,
     Vpn end = vpn + count;
     while (v < end) {
         Vpn idx = pmd_index(v);
-        Vpn span_start = idx * pmd_span_;
+        Vpn span_start = idx << pmd_shift_;
         Vpn span_end = span_start + pmd_span_;
         bool covers_span = (v == span_start && end >= span_end);
         Leaf *leaf = leaf_at(idx);

@@ -15,6 +15,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -60,19 +61,46 @@ struct Translation {
 /// A single address space's page table (one pgd).
 class PageTable {
   public:
-    /// \param pmd_span_pages pages covered by one PMD entry (512 for 2MB).
+    /// \param pmd_span_pages pages covered by one PMD entry (512 for 2MB);
+    ///        must be a power of two (throws std::invalid_argument), so
+    ///        the PMD index is a shift and the PTE offset a mask.
     /// \param access_never pdom used to neutralize stale sibling PTEs when
     ///        a disabled PMD span must be partially re-enabled.
     explicit PageTable(std::size_t pmd_span_pages = 512,
-                       Pdom access_never = 1)
-        : pmd_span_(pmd_span_pages), access_never_(access_never) {}
+                       Pdom access_never = 1);
 
     /// Translates \p vpn.  Never mutates; no cost implied (the TLB model
-    /// charges walk cycles).
+    /// charges walk cycles).  Inline: every TLB miss and fault lands here.
     Translation translate(Vpn vpn) const;
 
-    /// Maps one 4KB page with domain tag \p pdom.
+    /// Maps one 4KB page with domain tag \p pdom.  Inline when the span
+    /// is already a PTE table; otherwise map_page_slow() creates the leaf
+    /// or re-enables a huge/disabled PMD.
     PtOps map_page(Vpn vpn, Pdom pdom);
+
+    /// Maps, with tag \p pdom, every page of [vpn, vpn+count) that is
+    /// present in \p source and not present here, walking a leaf at a
+    /// time.  Stops at the first page that is present here or lies under
+    /// a disabled PMD, and returns it (vpn+count when there is none).
+    /// Adds the writes to \p ops.  Same effect as a per-page loop of
+    /// translate() on both tables and map_page() here.  Both tables must
+    /// share the PMD span.
+    Vpn map_missing_from(const PageTable &source, Vpn vpn,
+                         std::uint64_t count, Pdom pdom, PtOps &ops);
+
+    /// Demand-pages [vpn, vpn+count) in address order.  For each page not
+    /// present here: maps it in \p shadow with \p shadow_pdom when it is
+    /// not present there either, calls \p on_shadow(vpn, filled,
+    /// shadow_ops), then maps it here with \p pdom and calls \p on_map(ops).
+    /// The callbacks run between the writes exactly where a per-page
+    /// fault handler charges them, so one that throws leaves the tables
+    /// as that handler would.  Same effect and per-page PtOps as
+    /// translate() and map_page() on both tables, but each leaf is looked
+    /// up once per span.  Both tables must share the PMD span.
+    template <class OnShadow, class OnMap>
+    void demand_map(PageTable &shadow, Vpn vpn, std::uint64_t count,
+                    Pdom shadow_pdom, Pdom pdom, OnShadow &&on_shadow,
+                    OnMap &&on_map);
 
     /// Unmaps one 4KB page.
     PtOps unmap_page(Vpn vpn);
@@ -116,7 +144,7 @@ class PageTable {
     std::size_t pmd_span_pages() const { return pmd_span_; }
 
     /// PMD-span index containing \p vpn.
-    Vpn pmd_index(Vpn vpn) const { return vpn / pmd_span_; }
+    Vpn pmd_index(Vpn vpn) const { return vpn >> pmd_shift_; }
 
   private:
     enum class PmdKind : std::uint8_t {
@@ -158,6 +186,31 @@ class PageTable {
     /// Leaf covering PMD index \p idx, created on demand.
     Leaf &leaf_grow(Vpn idx);
 
+    /// Present and not PROT_NONE: what translate() reports as present
+    /// for a PTE under a table PMD.  The walks test a leaf's kind once
+    /// per span, not per page: PTE writes are byte stores, which may
+    /// alias the kind, so the compiler would reload it after each one.
+    static bool
+    pte_live(const Pte &pte)
+    {
+        return pte.present && !pte.prot_none;
+    }
+
+    /// Writes PTE \p off of \p leaf as present with tag \p pdom (one
+    /// PTE write; PROT_NONE is left as it was).
+    static void
+    install_pte(Leaf &leaf, Vpn off, Pdom pdom)
+    {
+        Pte &pte = leaf.ptes[off];
+        if (!pte.present)
+            ++leaf.present;
+        pte.present = true;
+        pte.pdom = pdom;
+    }
+
+    /// map_page() when the span has no leaf or is not a PTE table.
+    PtOps map_page_slow(Vpn vpn, Pdom pdom);
+
     /// Drops the leaf at \p idx entirely (PMD entry + PTE block).
     void leaf_drop(Vpn idx);
 
@@ -166,9 +219,103 @@ class PageTable {
     bool span_uniform(const Leaf *leaf, Pdom *pdom_out) const;
 
     std::size_t pmd_span_;
+    unsigned pmd_shift_;  ///< log2(pmd_span_).
+    Vpn pmd_mask_;        ///< pmd_span_ - 1: a page's offset in its span.
     Pdom access_never_;
     std::vector<std::unique_ptr<Leaf>> dense_;
     std::unordered_map<Vpn, std::unique_ptr<Leaf>> sparse_;
 };
+
+inline Translation
+PageTable::translate(Vpn vpn) const
+{
+    Translation t;
+    const Leaf *leaf = leaf_at(pmd_index(vpn));
+    if (!leaf)
+        return t;
+    if (leaf->kind == PmdKind::kDisabled) {
+        t.pmd_disabled = true;
+        return t;
+    }
+    if (leaf->kind == PmdKind::kHuge) {
+        t.present = true;
+        t.huge = true;
+        t.pdom = leaf->pdom;
+        return t;
+    }
+    const Pte &pte = leaf->ptes[vpn & pmd_mask_];
+    if (!pte.present)
+        return t;
+    if (pte.prot_none) {
+        t.prot_none = true;
+        return t;
+    }
+    t.present = true;
+    t.pdom = pte.pdom;
+    return t;
+}
+
+inline PtOps
+PageTable::map_page(Vpn vpn, Pdom pdom)
+{
+    Leaf *leaf = leaf_at(pmd_index(vpn));
+    if (!leaf || leaf->kind != PmdKind::kTable)
+        return map_page_slow(vpn, pdom);
+    install_pte(*leaf, vpn & pmd_mask_, pdom);
+    PtOps ops;
+    ops.pte_writes = 1;
+    return ops;
+}
+
+template <class OnShadow, class OnMap>
+void
+PageTable::demand_map(PageTable &shadow, Vpn vpn, std::uint64_t count,
+                      Pdom shadow_pdom, Pdom pdom, OnShadow &&on_shadow,
+                      OnMap &&on_map)
+{
+    Vpn v = vpn;
+    Vpn end = vpn + count;
+    while (v < end) {
+        Vpn idx = pmd_index(v);
+        Vpn chunk_end = std::min(end, (idx + 1) << pmd_shift_);
+        Leaf *leaf = leaf_at(idx);
+        Leaf *sleaf = shadow.leaf_at(idx);
+        if ((leaf && leaf->kind != PmdKind::kTable) ||
+            (sleaf && sleaf->kind != PmdKind::kTable)) {
+            // A huge or disabled PMD on either side: go page by page
+            // through the general paths, which re-enable or skip the span
+            // exactly as one fault per page would.
+            for (; v < chunk_end; ++v) {
+                if (translate(v).present)
+                    continue;
+                PtOps shadow_ops;
+                bool filled = !shadow.translate(v).present;
+                if (filled)
+                    shadow_ops = shadow.map_page(v, shadow_pdom);
+                on_shadow(v, filled, shadow_ops);
+                on_map(map_page(v, pdom));
+            }
+            continue;
+        }
+        PtOps one_pte;
+        one_pte.pte_writes = 1;
+        for (; v < chunk_end; ++v) {
+            Vpn off = v & pmd_mask_;
+            if (leaf && pte_live(leaf->ptes[off]))
+                continue;
+            bool filled = !(sleaf && pte_live(sleaf->ptes[off]));
+            if (filled) {
+                if (!sleaf)
+                    sleaf = &shadow.leaf_grow(idx);
+                install_pte(*sleaf, off, shadow_pdom);
+            }
+            on_shadow(v, filled, filled ? one_pte : PtOps{});
+            if (!leaf)
+                leaf = &leaf_grow(idx);
+            install_pte(*leaf, off, pdom);
+            on_map(one_pte);
+        }
+    }
+}
 
 }  // namespace vdom::hw

@@ -32,8 +32,8 @@ Tlb::Tlb(std::size_t capacity, std::size_t owner, std::size_t ways)
             num_sets_ = 1;
         ways_ = effective / num_sets_;
     }
-    slot_count_ = num_sets_ * ways_;
-    slots_.reserve(slot_count_);
+    slot_limit_ = num_sets_ * ways_;
+    slots_.reserve(slot_limit_);
     set_head_.assign(num_sets_, kNil);
     set_tail_.assign(num_sets_, kNil);
     set_size_.assign(num_sets_, 0);
@@ -43,7 +43,7 @@ Tlb::Tlb(std::size_t capacity, std::size_t owner, std::size_t ways)
 std::size_t
 Tlb::index_max_cells() const
 {
-    return std::bit_ceil(std::max<std::size_t>(8, slot_count_ * 2));
+    return std::bit_ceil(std::max<std::size_t>(8, slot_limit_ * 2));
 }
 
 void
@@ -135,7 +135,7 @@ Tlb::insert(Asid asid, Vpn vpn, const TlbEntry &entry)
         std::uint32_t victim = set_tail_[set];
         ++stats_.evictions;
         tm::metric_add(tm::Metric::kTlbEvict, 1, owner_);
-        if (size_ < slot_count_) {
+        if (size_ < slot_limit_) {
             ++stats_.assoc_conflicts;
             tm::metric_add(tm::Metric::kTlbAssocConflict, 1, owner_);
         }

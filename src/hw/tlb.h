@@ -97,6 +97,15 @@ class Tlb {
     const Stats &stats() const { return stats_; }
     void reset_stats() { stats_ = Stats{}; }
 
+    /// Slots allocated so far.  Freed slots are reused before a new one
+    /// is appended, so this is the peak number of live entries and never
+    /// passes the effective capacity (num_sets() * ways()).
+    std::size_t slot_count() const { return slots_.size(); }
+
+    /// Cells in the hash index: 32 at construction, growing 8x with the
+    /// live count up to bit_ceil(max(8, 2 * effective capacity)).
+    std::size_t index_cells() const { return index_.size(); }
+
     /// Set an (asid, vpn) pair indexes into — exposed so tests and benches
     /// can construct conflict-miss workloads deterministically.
     std::size_t
@@ -230,13 +239,13 @@ class Tlb {
     void remove_slot(std::uint32_t slot);
 
     std::size_t capacity_;      ///< Reported capacity (constructor value).
-    std::size_t slot_count_;    ///< Effective capacity (num_sets_ * ways_).
+    std::size_t slot_limit_;    ///< Effective capacity (num_sets_ * ways_).
     std::size_t num_sets_;      ///< Power of two.
     std::size_t ways_;
     std::size_t owner_ = 0;
     std::size_t size_ = 0;
 
-    std::vector<Slot> slots_;  ///< Grows on demand up to slot_count_.
+    std::vector<Slot> slots_;  ///< Grows on demand up to slot_limit_.
     std::uint32_t free_head_ = kNil;  ///< Freed slots chained via `next`.
     std::vector<std::uint32_t> set_head_;  ///< Per-set MRU.
     std::vector<std::uint32_t> set_tail_;  ///< Per-set LRU.

@@ -3,6 +3,8 @@
 
 #include "kernel/mm.h"
 
+#include <algorithm>
+
 #include "sim/fault.h"
 #include "telemetry/flightrec.h"
 #include "telemetry/metrics.h"
@@ -254,18 +256,91 @@ MmStruct::fault_in(hw::Core &core, Vds &vds, hw::Vpn vpn)
     if (!vma)
         return false;
     telemetry::metric_add(telemetry::Metric::kFaultIn, 1, core.id());
+    fault_in_page(core, vds, *vma, vpn);
+    return true;
+}
+
+bool
+MmStruct::fault_in_range(hw::Core &core, Vds &vds, hw::Vpn start,
+                         std::uint64_t pages)
+{
+    bool covered = true;
+    hw::Vpn end = start + pages;
+    hw::Vpn v = start;
+    while (v < end) {
+        const Vma *vma = vmas_.find(v);
+        if (!vma) {
+            covered = false;
+            ++v;
+            continue;
+        }
+        hw::Vpn run_end = std::min(end, vma->end());
+        // fault_in books its VMA lookup (a cache hit after the first page
+        // of the run) and the fault before anything that can fire a crash
+        // point.  Book every page up to the one being charged, so counters
+        // match a per-page loop even when a PowerLoss cuts the run short.
+        hw::Vpn first = v;
+        hw::Vpn booked = v;
+        auto book_through = [&](hw::Vpn last) {
+            std::uint64_t n = last + 1 - booked;
+            vmas_.count_cached_finds(booked == first ? n - 1 : n);
+            telemetry::metric_add(telemetry::Metric::kFaultIn, n, core.id());
+            booked = last + 1;
+        };
+        if (vma->huge) {
+            for (; v < run_end; ++v) {
+                book_through(v);
+                fault_in_page(core, vds, *vma, v);
+            }
+            continue;
+        }
+        // Charged per page, in the order fault_in would charge them:
+        // Cycles are doubles, so a batched sum could differ.
+        hw::Cycles memsync = params_->costs.memsync_page;
+        vds.pgd().demand_map(
+            shadow_, v, run_end - v, params_->default_pdom,
+            fault_tag(vds, *vma),
+            [&](hw::Vpn vpn, bool filled, const hw::PtOps &shadow_ops) {
+                book_through(vpn);
+                if (filled) {
+                    charge_pt_ops(core, shadow_ops, hw::CostKind::kFault);
+                } else {
+                    core.charge(hw::CostKind::kMemSync, memsync);
+                    telemetry::metric_add(telemetry::Metric::kMemsyncPages,
+                                          1, core.id());
+                }
+            },
+            [&](const hw::PtOps &ops) {
+                charge_pt_ops(core, ops, hw::CostKind::kMemSync);
+            });
+        if (booked < run_end)
+            book_through(run_end - 1);
+        v = run_end;
+    }
+    return covered;
+}
+
+hw::Pdom
+MmStruct::fault_tag(const Vds &vds, const Vma &vma) const
+{
+    if (vma.vdom == kCommonVdom)
+        return params_->default_pdom;
+    if (auto mapped = vds.pdom_of(vma.vdom))
+        return *mapped;
+    return params_->access_never_pdom;
+}
+
+void
+MmStruct::fault_in_page(hw::Core &core, Vds &vds, const Vma &vma,
+                        hw::Vpn vpn)
+{
     // Already mapped in this VDS (e.g. remapped by the virtualization
     // algorithm between the fault and this handler): nothing to do.
     if (vds.pgd().translate(vpn).present)
-        return true;
+        return;
     const hw::CostTable &costs = params_->costs;
-    hw::Pdom tag = params_->default_pdom;
-    if (vma->vdom != kCommonVdom) {
-        tag = params_->access_never_pdom;
-        if (auto mapped = vds.pdom_of(vma->vdom))
-            tag = *mapped;
-    }
-    if (vma->huge) {
+    hw::Pdom tag = fault_tag(vds, vma);
+    if (vma.huge) {
         hw::Vpn base =
             vpn / params_->pmd_span_pages * params_->pmd_span_pages;
         hw::Translation in_shadow = shadow_.translate(base);
@@ -281,7 +356,7 @@ MmStruct::fault_in(hw::Core &core, Vds &vds, hw::Vpn vpn)
         }
         charge_pt_ops(core, vds.pgd().map_huge(base, tag),
                       hw::CostKind::kMemSync);
-        return true;
+        return;
     }
     hw::Translation in_shadow = shadow_.translate(vpn);
     if (!in_shadow.present) {
@@ -293,7 +368,6 @@ MmStruct::fault_in(hw::Core &core, Vds &vds, hw::Vpn vpn)
                               core.id());
     }
     charge_pt_ops(core, vds.pgd().map_page(vpn, tag), hw::CostKind::kMemSync);
-    return true;
 }
 
 hw::PtOps
@@ -312,20 +386,16 @@ MmStruct::install_vdom_in_vds(hw::Core &core, Vds &vds, VdomId vdom,
             }
             continue;
         }
-        for (std::uint64_t i = 0; i < area.pages; ++i) {
-            hw::Vpn vpn = area.start + i;
-            hw::Translation in_vds = vds.pgd().translate(vpn);
-            if (in_vds.present || in_vds.pmd_disabled) {
-                // Present (possibly under a disabled PMD): retag the whole
-                // remaining area in one call to benefit from the §5.5 PMD
-                // fast path, then stop the per-page loop.
-                total += vds.pgd().set_pdom_range(
-                    vpn, area.pages - i, pdom,
-                    params_->knobs.pmd_fast_path);
-                break;
-            }
-            if (shadow_.translate(vpn).present)
-                total += vds.pgd().map_page(vpn, pdom);
+        // Map what the shadow has and this VDS lacks, up to the first page
+        // already present here (possibly under a disabled PMD).  Retag the
+        // rest of the area in one call to benefit from the §5.5 PMD fast
+        // path.
+        hw::Vpn end = area.start + area.pages;
+        hw::Vpn stop = vds.pgd().map_missing_from(shadow_, area.start,
+                                                  area.pages, pdom, total);
+        if (stop < end) {
+            total += vds.pgd().set_pdom_range(stop, end - stop, pdom,
+                                              params_->knobs.pmd_fast_path);
         }
     }
     // Remapping retags live translations: TLB entries cached since the

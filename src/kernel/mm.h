@@ -115,6 +115,14 @@ class MmStruct {
     /// touch, memsync when copying into a VDS table (§6.2, Table 5).
     bool fault_in(hw::Core &core, Vds &vds, hw::Vpn vpn);
 
+    /// fault_in() for every page of [start, start+pages), in order: the
+    /// same page-table writes, per-page charges and metrics, with one VMA
+    /// lookup per VMA and one leaf lookup per PMD span.  Pre-faulting
+    /// loops use it.  \returns false when some page has no VMA (that page
+    /// is skipped).
+    bool fault_in_range(hw::Core &core, Vds &vds, hw::Vpn start,
+                        std::uint64_t pages);
+
     /// Eagerly maps every present page of \p vdom into \p vds with tag
     /// \p pdom ("the OS kernel assigns PTEs of all present pages protected
     /// by the vdom with the selected pdom", §5.4).  Returns entry-write
@@ -144,6 +152,15 @@ class MmStruct {
                        hw::CostKind kind) const;
 
   private:
+    /// fault_in() once \p vma is known to cover \p vpn.
+    void fault_in_page(hw::Core &core, Vds &vds, const Vma &vma,
+                       hw::Vpn vpn);
+
+    /// Tag a demand-paged page of \p vma gets in \p vds: the default
+    /// pdom for unprotected memory, else the vdom's pdom in \p vds, or
+    /// access-never while the vdom is not mapped there.
+    hw::Pdom fault_tag(const Vds &vds, const Vma &vma) const;
+
     /// Bumps every VDS's TLB generation and flush-alls every core running
     /// the process (eager revocation paths: munmap, vdom assignment).
     void flush_everywhere(hw::Core &core);

@@ -86,6 +86,15 @@ class VmaTree {
         return cached_;
     }
 
+    /// Accounts \p n further find() calls that hit the cache, for a
+    /// caller that walks a VMA it already found page by page.
+    void
+    count_cached_finds(std::uint64_t n) const
+    {
+        cache_stats_.hits += n;
+        telemetry::metric_add(telemetry::Metric::kVmaCacheHit, n);
+    }
+
     Vma *
     find_mutable(hw::Vpn vpn)
     {

@@ -200,6 +200,12 @@ Engine::shard_count()
 
 // --- serial path ---------------------------------------------------------
 
+bool
+Engine::heap_after(const HeapEntry &a, const HeapEntry &b)
+{
+    return a.clock > b.clock || (a.clock == b.clock && a.core > b.core);
+}
+
 void
 Engine::rebuild_heap()
 {
@@ -207,12 +213,25 @@ Engine::rebuild_heap()
     for (std::size_t c = 0; c < queues_.size(); ++c)
         if (!queues_[c].empty())
             heap_.push_back({machine_->core(c).now(), c});
-    auto after = [](const HeapEntry &a, const HeapEntry &b) {
-        return a.clock > b.clock ||
-               (a.clock == b.clock && a.core > b.core);
-    };
-    std::make_heap(heap_.begin(), heap_.end(), after);
+    std::make_heap(heap_.begin(), heap_.end(), heap_after);
     heap_stale_ = false;
+}
+
+void
+Engine::sift_down_root()
+{
+    std::size_t n = heap_.size();
+    HeapEntry moving = heap_.front();
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+        if (child + 1 < n && heap_after(heap_[child], heap_[child + 1]))
+            ++child;
+        if (!heap_after(moving, heap_[child]))
+            break;
+        heap_[hole] = heap_[child];
+        hole = child;
+    }
+    heap_[hole] = moving;
 }
 
 std::size_t
@@ -220,28 +239,27 @@ Engine::pick_core()
 {
     if (heap_stale_)
         rebuild_heap();
-    auto after = [](const HeapEntry &a, const HeapEntry &b) {
-        return a.clock > b.clock ||
-               (a.clock == b.clock && a.core > b.core);
-    };
     // Lazy refresh: clocks only move forward, so an entry can only
-    // understate its core's clock.  Popping understated entries and
-    // re-pushing the true clock converges on the true (clock, core)
-    // minimum — the same core the old linear scan picked, including the
-    // lowest-id tie-break.
+    // understate its core's clock.  Refreshing the root in place and
+    // sifting it down converges on the true (clock, core) minimum — the
+    // same core the old linear scan picked, including the lowest-id
+    // tie-break.  Each core has one entry, so keys are unique and the
+    // minimum does not depend on the heap's layout.  When the stepped
+    // core is still the minimum, the sift stops after two compares.
     while (!heap_.empty()) {
-        HeapEntry top = heap_.front();
+        HeapEntry &top = heap_.front();
         if (queues_[top.core].empty()) {
-            std::pop_heap(heap_.begin(), heap_.end(), after);
+            top = heap_.back();
             heap_.pop_back();
+            if (!heap_.empty())
+                sift_down_root();
             continue;
         }
         hw::Cycles now = machine_->core(top.core).now();
         if (now == top.clock)
             return top.core;
-        std::pop_heap(heap_.begin(), heap_.end(), after);
-        heap_.back().clock = now;
-        std::push_heap(heap_.begin(), heap_.end(), after);
+        top.clock = now;
+        sift_down_root();
     }
     return 0;
 }

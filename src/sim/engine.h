@@ -108,8 +108,12 @@ class Engine {
     };
 
     // --- serial path ------------------------------------------------------
+    /// Heap order: true when \p a sorts after \p b by (clock, core).
+    static bool heap_after(const HeapEntry &a, const HeapEntry &b);
     std::size_t pick_core();
     void rebuild_heap();
+    /// Moves heap_.front() down to its place (the heap is non-empty).
+    void sift_down_root();
     void step_once();
     bool step_core(std::size_t c, std::size_t &live, std::uint64_t &steps,
                    std::uint64_t &switches);

@@ -70,8 +70,7 @@ VdomSystem::vdom_init(hw::Core &core)
     if (st != VdomStatus::kOk)
         return st;  // Rollback unwinds the mmap; WalTxn seals an ABORT.
     // Touch the pages so they are present (and pdom1-tagged) everywhere.
-    for (std::uint64_t i = 0; i < kApiRegionPages; ++i)
-        mm.fault_in(core, *mm.vds0(), region + i);
+    mm.fault_in_range(core, *mm.vds0(), region, kApiRegionPages);
     api_region_ = region;
     initialized_ = true;
     txn.commit();

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "hw/machine.h"
 #include "kernel/mm.h"
+#include "sim/fault.h"
+#include "telemetry/metrics.h"
 
 namespace vdom::kernel {
 namespace {
@@ -240,6 +244,170 @@ TEST_F(MmTest, UnionCpuBitmap)
     Vds *other = mm.create_vds();
     other->cpu_set(1);
     EXPECT_EQ(mm.union_cpu_bitmap(), 3u);
+}
+
+// --- fault_in_range vs one fault_in per page -----------------------------
+
+/// One process with a layout that covers every fault_in branch: a
+/// PMD-aligned region spanning two PMDs, a small region, a huge region, a
+/// vdom-owned region, pages already present in vds0, pages present only
+/// in a second VDS (memsync), and the guard gaps between regions.
+struct FaultRig {
+    FaultRig()
+        : params(hw::ArchParams::x86(2)),
+          machine(params),
+          shootdown(machine),
+          mm(params, &shootdown)
+    {
+        hw::Core &core = machine.core(0);
+        core.set_pgd(&mm.vds0()->pgd(), 1);
+        lo = mm.mmap(700);
+        hw::Vpn small = mm.mmap(40);
+        mm.mmap(512, true);
+        hw::Vpn owned = mm.mmap(30);
+        VdomId v = mm.vdm().alloc(false);
+        mm.assign_vdom(core, owned, 30, v);
+        hi = owned + 31;  // Ends one guard page past the last region.
+        mm.fault_in(core, *mm.vds0(), lo + 5);
+        mm.fault_in(core, *mm.vds0(), lo + 600);
+        Vds *other = mm.create_vds();
+        for (hw::Vpn p = small + 3; p < small + 9; ++p)
+            mm.fault_in(core, *other, p);
+        mm.fault_in(core, *other, owned + 2);
+        core.reset();
+    }
+
+    hw::ArchParams params;
+    hw::Machine machine;
+    ShootdownManager shootdown;
+    MmStruct mm;
+    hw::Vpn lo = 0;
+    hw::Vpn hi = 0;
+};
+
+/// What a pre-fault leaves behind: charged cycles (exact doubles), the
+/// fault/VMA-cache/memsync counters, and every translation it touched.
+void
+expect_same_fault_state(FaultRig &a, FaultRig &b,
+                        const telemetry::MetricsRegistry &ma,
+                        const telemetry::MetricsRegistry &mb)
+{
+    using telemetry::Metric;
+    hw::Core &ca = a.machine.core(0);
+    hw::Core &cb = b.machine.core(0);
+    EXPECT_EQ(ca.now(), cb.now());
+    for (std::size_t k = 0; k < hw::kNumCostKinds; ++k) {
+        auto kind = static_cast<hw::CostKind>(k);
+        EXPECT_EQ(ca.breakdown().get(kind), cb.breakdown().get(kind))
+            << hw::cost_kind_name(kind);
+    }
+    for (Metric m : {Metric::kFaultIn, Metric::kVmaCacheHit,
+                     Metric::kVmaCacheMiss, Metric::kMemsyncPages,
+                     Metric::kFaultsInjected}) {
+        EXPECT_EQ(ma.value(m), mb.value(m)) << static_cast<int>(m);
+    }
+    EXPECT_EQ(a.mm.vmas().cache_stats().hits, b.mm.vmas().cache_stats().hits);
+    EXPECT_EQ(a.mm.vmas().cache_stats().misses,
+              b.mm.vmas().cache_stats().misses);
+    auto same = [](const hw::PageTable &x, const hw::PageTable &y,
+                   hw::Vpn v) {
+        hw::Translation tx = x.translate(v);
+        hw::Translation ty = y.translate(v);
+        return tx.present == ty.present && tx.huge == ty.huge &&
+               tx.pdom == ty.pdom && tx.prot_none == ty.prot_none &&
+               tx.pmd_disabled == ty.pmd_disabled;
+    };
+    for (hw::Vpn v = a.lo; v < a.hi; ++v) {
+        ASSERT_TRUE(same(a.mm.shadow(), b.mm.shadow(), v)) << "vpn " << v;
+        for (std::size_t i = 0; i < a.mm.num_vdses(); ++i) {
+            ASSERT_TRUE(same(a.mm.vdses()[i]->pgd(), b.mm.vdses()[i]->pgd(),
+                             v))
+                << "vds " << i << " vpn " << v;
+        }
+    }
+}
+
+/// Runs the pre-fault both ways under the fault plan \p arm sets up and
+/// compares the results, including where a PowerLoss stops them.
+template <class ArmFn>
+void
+compare_prefault(ArmFn arm)
+{
+    FaultRig ref, range;
+    ASSERT_EQ(ref.lo, range.lo);
+    ASSERT_EQ(ref.hi, range.hi);
+    telemetry::MetricsRegistry mref(2), mrange(2);
+    std::optional<sim::PowerLoss> ref_loss, range_loss;
+    bool ref_covered = true, range_covered = true;
+    {
+        telemetry::ScopedMetrics metrics(mref);
+        sim::FaultPlan plan(5);
+        arm(plan);
+        sim::ScopedFaults faults(plan);
+        try {
+            for (hw::Vpn v = ref.lo; v < ref.hi; ++v) {
+                ref_covered &= ref.mm.fault_in(ref.machine.core(0),
+                                               *ref.mm.vds0(), v);
+            }
+        } catch (const sim::PowerLoss &loss) {
+            ref_loss = loss;
+        }
+    }
+    {
+        telemetry::ScopedMetrics metrics(mrange);
+        sim::FaultPlan plan(5);
+        arm(plan);
+        sim::ScopedFaults faults(plan);
+        try {
+            range_covered = range.mm.fault_in_range(
+                range.machine.core(0), *range.mm.vds0(), range.lo,
+                range.hi - range.lo);
+        } catch (const sim::PowerLoss &loss) {
+            range_loss = loss;
+        }
+    }
+    ASSERT_EQ(ref_loss.has_value(), range_loss.has_value());
+    if (ref_loss)
+        EXPECT_EQ(ref_loss->crossing, range_loss->crossing);
+    else
+        EXPECT_EQ(ref_covered, range_covered);
+    expect_same_fault_state(ref, range, mref, mrange);
+}
+
+TEST(FaultInRange, MatchesPerPageFaultIn)
+{
+    compare_prefault([](sim::FaultPlan &) {});
+}
+
+TEST(FaultInRange, MatchesPerPageFaultInWithPteWriteDelays)
+{
+    compare_prefault([](sim::FaultPlan &plan) {
+        plan.arm(sim::FaultSite::kPteWriteDelay, {.every = 3});
+    });
+}
+
+TEST(FaultInRange, PowerLossMidRangeLeavesPerPageState)
+{
+    // Every fault-site crossing is a crash point.  Count them over the
+    // per-page pre-fault, then cut it at crossings spread over the walk.
+    FaultRig probe_rig;
+    sim::FaultPlan probe;
+    probe.arm_probe(sim::FaultSite::kCrash);
+    {
+        sim::ScopedFaults faults(probe);
+        for (hw::Vpn v = probe_rig.lo; v < probe_rig.hi; ++v)
+            probe_rig.mm.fault_in(probe_rig.machine.core(0),
+                                  *probe_rig.mm.vds0(), v);
+    }
+    std::uint64_t n = probe.occurrences(sim::FaultSite::kCrash);
+    ASSERT_GT(n, 1000u);
+    for (std::uint64_t k : {std::uint64_t{1}, std::uint64_t{2}, n / 3,
+                            n / 2, n - 1, n}) {
+        SCOPED_TRACE(testing::Message() << "crash at crossing " << k);
+        compare_prefault([k](sim::FaultPlan &plan) {
+            plan.arm_exact(sim::FaultSite::kCrash, k);
+        });
+    }
 }
 
 }  // namespace

@@ -29,6 +29,7 @@
 /// flush, and the trace ends by refilling to 1.5x capacity.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <list>
 #include <optional>
@@ -725,6 +726,51 @@ TEST(TlbReplay, SetAssocConflictsAreCountedAndBounded)
     // Every entry currently resident is one of the conflicting vpns, and
     // at most `ways` of them fit.
     EXPECT_LE(tlb.size(), tlb.ways());
+}
+
+TEST(TlbReplay, StorageStaysWithinCapacityAcrossFlushRefillCycles)
+{
+    // Slots are reused from the free list before any is appended, so the
+    // slot array never outgrows the effective capacity, however often the
+    // TLB is filled, flushed and refilled.  The index stays within its
+    // full size.  Replays compare only lookups and stats; this pins the
+    // storage itself.
+    for (std::size_t capacity :
+         {ArchParams::x86().tlb_entries, ArchParams::arm().tlb_entries}) {
+        for (std::size_t ways : {std::size_t{0}, std::size_t{8}}) {
+            SCOPED_TRACE(testing::Message()
+                         << "capacity " << capacity << " ways " << ways);
+            Tlb tlb(capacity, 0, ways);
+            const std::size_t slots = tlb.num_sets() * tlb.ways();
+            const std::size_t max_cells =
+                std::bit_ceil(std::max<std::size_t>(8, 2 * slots));
+            std::size_t peak = 0;
+            for (int cycle = 0; cycle < 9; ++cycle) {
+                Asid asid = static_cast<Asid>(1 + cycle % 2);
+                Vpn base = static_cast<Vpn>(cycle) * 97;
+                for (Vpn v = 0; v < capacity + capacity / 2; ++v) {
+                    tlb.insert(asid, base + v, TlbEntry{2, false});
+                    peak = std::max(peak, tlb.size());
+                    ASSERT_LE(tlb.slot_count(), slots) << "cycle " << cycle;
+                }
+                switch (cycle % 3) {
+                  case 0:
+                    tlb.flush_all();
+                    break;
+                  case 1:
+                    tlb.flush_asid(asid);
+                    break;
+                  default:
+                    tlb.flush_range(asid, base, capacity + capacity / 2);
+                    break;
+                }
+                EXPECT_EQ(tlb.size(), 0u);
+                EXPECT_LE(tlb.index_cells(), max_cells);
+            }
+            EXPECT_EQ(tlb.slot_count(), peak);
+            EXPECT_LE(tlb.slot_count(), tlb.capacity());
+        }
+    }
 }
 
 }  // namespace
