@@ -4,6 +4,7 @@
 #include "baselines/libmpk.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "hw/mmu.h"
 
@@ -105,12 +106,16 @@ LibMpk::evict(hw::Core &core, VKey &victim)
     // flush — libmpk has no CPU-bitmap narrowing (§3.2).
     kernel::ShootdownManager &sd = proc_->shootdown();
     mm.vds0()->bump_tlb_gen();
-    sd.shoot(core, mm.union_cpu_bitmap(), kernel::FlushKind::kAll);
+    std::uint64_t cpus = mm.union_cpu_bitmap();
+    sd.shoot(core, cpus, kernel::FlushKind::kAll);
     sd.local_flush(core, kernel::FlushKind::kAll);
-    for (std::size_t c = 0; c < 64; ++c) {
-        if ((mm.union_cpu_bitmap() | (1ULL << core.id())) & (1ULL << c))
-            mm.vds0()->set_core_seen_gen(c, mm.vds0()->tlb_gen());
-    }
+    // The shootdown and local flush leave every CPU bitmap unchanged, so
+    // one read covers the loop; visit the set bits in ascending order.
+    for (std::uint64_t left = cpus | (1ULL << core.id()); left != 0;
+         left &= left - 1)
+        mm.vds0()->set_core_seen_gen(
+            static_cast<std::size_t>(std::countr_zero(left)),
+            mm.vds0()->tlb_gen());
     hw_owner_[static_cast<std::size_t>(victim.hw_key)] = -1;
     victim.hw_key = -1;
 }

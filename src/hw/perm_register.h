@@ -23,6 +23,9 @@ class PermRegister {
   public:
     static constexpr std::size_t kSlots = 16;
 
+    /// The per-pdom rights, one slot per hardware domain.
+    using Slots = std::array<Perm, kSlots>;
+
     PermRegister() { reset(); }
 
     /// Resets to the hardware default: full access to pdom0, access
@@ -64,6 +67,20 @@ class PermRegister {
         telemetry::metric_add(telemetry::Metric::kPermRegWrite, 1, owner_);
     }
 
+    /// The current slots (a saved image for load_slots()).
+    const Slots &slots() const { return slots_; }
+
+    /// Loads a saved image that took \p writes set() calls to build,
+    /// booking those writes in one metric update.
+    void
+    load_slots(const Slots &slots, std::uint64_t writes)
+    {
+        slots_ = slots;
+        if (writes != 0)
+            telemetry::metric_add(telemetry::Metric::kPermRegWrite, writes,
+                                  owner_);
+    }
+
     /// Telemetry shard for write metrics (the owning core's id).
     void set_owner(std::size_t owner) { owner_ = owner; }
 
@@ -74,7 +91,7 @@ class PermRegister {
     }
 
   private:
-    std::array<Perm, kSlots> slots_;
+    Slots slots_;
     std::size_t owner_ = 0;
 };
 

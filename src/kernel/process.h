@@ -97,16 +97,45 @@ class Process {
     /// Rebuilds the hardware permission register from the thread's VDR and
     /// the target VDS's domain map ("the permission register of T is
     /// synchronized to stay consistent with the new domain map", Fig. 3).
+    ///
+    /// When the task's cached image (Task::PermImage) was built from the
+    /// same VDS map and VDR versions, it is loaded instead of walking the
+    /// map, with the same effects: one kPermRegWrite per mapped pair, and
+    /// the VDR memo hit and final memo state the walk's get() calls leave.
     static void
-    rebuild_perm_reg(hw::Core &core, const Task &task, const Vds &vds)
+    rebuild_perm_reg(hw::Core &core, Task &task, const Vds &vds)
     {
-        core.perm_reg().reset();
+        hw::PermRegister &reg = core.perm_reg();
         const Vdr *vdr = task.vdr();
-        if (!vdr)
+        if (!vdr) {
+            reg.reset();
             return;
+        }
+        Task::PermImage &image = task.perm_image();
+        if (image.ctx_id == vds.ctx_id() &&
+            image.map_version == vds.map_version() &&
+            image.vdr_version == vdr->version()) {
+            reg.load_slots(image.slots, image.writes);
+            if (image.writes != 0)
+                vdr->replay_walk(image.first, image.last, image.last_perm);
+            return;
+        }
+        reg.reset();
+        image = Task::PermImage{};
+        // The walk skips the reserved pdoms, vdom0's among them, so every
+        // get() below goes through the VDR memo.
         vds.for_each_mapped([&](hw::Pdom pdom, VdomId vdomid) {
-            core.perm_reg().set(pdom, to_hw_perm(vdr->get(vdomid)));
+            VPerm perm = vdr->get(vdomid);
+            reg.set(pdom, to_hw_perm(perm));
+            if (image.writes++ == 0)
+                image.first = vdomid;
+            image.last = vdomid;
+            image.last_perm = perm;
         });
+        image.ctx_id = vds.ctx_id();
+        image.map_version = vds.map_version();
+        image.vdr_version = vdr->version();
+        image.slots = reg.slots();
     }
 
     /// Installs \p vds's pgd + ASID on \p core (no residency changes).

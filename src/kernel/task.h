@@ -24,6 +24,21 @@ namespace vdom::kernel {
 /// recorded."
 class Task {
   public:
+    /// The permission-register image Process::rebuild_perm_reg last built
+    /// for this thread, and what it was built from.  The image is a
+    /// function of the VDS's mapped pairs and the VDR's contents, so it is
+    /// current exactly when all three stamps still match.
+    struct PermImage {
+        std::uint64_t ctx_id = 0;  ///< 0: empty (real ctx ids start at 1).
+        std::uint64_t map_version = 0;
+        std::uint64_t vdr_version = 0;
+        hw::PermRegister::Slots slots{};
+        std::uint32_t writes = 0;     ///< Mapped pairs, one set() each.
+        VdomId first = kInvalidVdom;  ///< First mapped vdom (pdom order).
+        VdomId last = kInvalidVdom;   ///< Last mapped vdom.
+        VPerm last_perm = VPerm::kAccessDisable;
+    };
+
     explicit Task(std::uint32_t tid) : tid_(tid) {}
 
     std::uint32_t tid() const { return tid_; }
@@ -54,15 +69,22 @@ class Task {
         ref_home_.clear();
     }
 
+    /// Cached permission-register image (Process::rebuild_perm_reg).
+    PermImage &perm_image() { return perm_image_; }
+
     /// Maximum address spaces the thread may efficiently own (vdr_alloc's
     /// nas argument).
     std::size_t nas_limit() const { return nas_limit_; }
 
     /// VDSes the thread can efficiently switch between (§6.1).  The
-    /// permission-register image for each is rebuilt from the VDR and the
-    /// target's domain map at switch time, because the virtualization
-    /// algorithm "does not generate fixed maps between vdoms and pdoms"
-    /// (§7.1) — a cached image could go stale while the thread is away.
+    /// virtualization algorithm "does not generate fixed maps between
+    /// vdoms and pdoms" (§7.1), so the permission-register image for a VDS
+    /// can change while the thread is away.  The thread's one cached image
+    /// (perm_image()) is keyed on the VDS's ctx_id and map_version and on
+    /// the VDR's version: every map change and every VDR write bumps a
+    /// stamp, neither object can be copied behind those stamps, and a
+    /// process never frees a VDS, so a matching key means an unchanged
+    /// image.
     std::vector<Vds *> &owned_vdses() { return owned_; }
     const std::vector<Vds *> &owned_vdses() const { return owned_; }
 
@@ -167,6 +189,7 @@ class Task {
     std::vector<Vds *> owned_;
     std::vector<std::pair<VdomId, Vds *>> ref_home_;  ///< Sorted by vdom.
     std::size_t bound_core_ = 0;
+    PermImage perm_image_;
 };
 
 }  // namespace vdom::kernel

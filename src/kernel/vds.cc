@@ -83,6 +83,7 @@ Vds::map_vdom(hw::Pdom pdom, VdomId vdom)
     }
     entry.vdom = vdom;
     entry.nthreads = 0;
+    ++map_version_;
     VdomSlot &slot = slot_grow(vdom);
     slot.pdom = pdom;
     slot.mapped = true;
@@ -102,6 +103,7 @@ Vds::unmap_pdom(hw::Pdom pdom)
     slot.mapped = false;
     entry.vdom = kInvalidVdom;
     entry.nthreads = 0;
+    ++map_version_;
     if (pdom >= first_usable_)
         ++free_count_;
 }

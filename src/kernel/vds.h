@@ -39,6 +39,11 @@ class Vds {
     Vds(std::uint32_t id, const hw::ArchParams &params,
         std::uint64_t ctx_id = 0);
 
+    /// Not copyable: a copy would share this VDS's ctx_id and map_version
+    /// stamps while its map diverges.
+    Vds(const Vds &) = delete;
+    Vds &operator=(const Vds &) = delete;
+
     std::uint32_t id() const { return id_; }
 
     hw::PageTable &pgd() { return pgd_; }
@@ -99,6 +104,11 @@ class Vds {
     /// Removes the mapping at \p pdom, remembering it as the vdom's last
     /// pdom for HLRU.
     void unmap_pdom(hw::Pdom pdom);
+
+    /// Bumped by every map_vdom() and by every unmap_pdom() that removes a
+    /// pair: the (pdom, vdom) pairs for_each_mapped() visits are a function
+    /// of (ctx_id(), map_version()).
+    std::uint64_t map_version() const { return map_version_; }
 
     /// Refreshes the LRU tick of the pdom backing \p vdom.
     void
@@ -262,6 +272,7 @@ class Vds {
     std::size_t free_count_;
     std::vector<MapEntry> map_;  ///< Indexed by pdom.
     std::vector<VdomSlot> by_vdom_;  ///< Indexed by VdomId.
+    std::uint64_t map_version_ = 0;
 
     std::size_t resident_threads_ = 0;
     std::uint64_t cpu_bitmap_ = 0;

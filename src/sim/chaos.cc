@@ -883,7 +883,7 @@ CrashSweepHarness::make_script() const
         ops.push_back({.kind = Kind::kMprotect, .dom = i, .region = i});
     ops.push_back({.kind = Kind::kAccess, .task = 0, .write = true});
     ops.push_back({.kind = Kind::kAccess, .task = 1 % config_.threads,
-                   .region = d > 1 ? 1 : 0});
+                   .region = d > 1 ? std::size_t{1} : std::size_t{0}});
 
     // The other WAL-covered entry points: secure-pool growth (the arena
     // ctor allocates the vdom, the first allocate grows the pool) and the

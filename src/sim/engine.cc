@@ -1,5 +1,5 @@
 /// \file
-/// Engine implementation: the serial min-heap scheduler and the
+/// Engine implementation: the serial min-clock scheduler and the
 /// epoch-parallel sharded execution mode (see engine.h for the model).
 
 #include "sim/engine.h"
@@ -42,6 +42,7 @@ constexpr std::size_t kNoCore = static_cast<std::size_t>(-1);
 /// thread drains at the epoch barrier.
 struct Engine::Shard {
     std::vector<std::size_t> cores;  ///< Ascending core ids.
+    CorePickTree pick;               ///< Over `cores`, rebuilt per epoch.
     std::uint64_t mask = 0;          ///< Bitmap of `cores`.
     std::size_t live = 0;
     std::uint64_t steps = 0;
@@ -146,8 +147,11 @@ Engine::Engine(hw::Machine &machine, kernel::Process *proc,
       time_slice_(time_slice),
       queues_(machine.num_cores()),
       slice_start_(machine.num_cores(), 0),
-      installed_(machine.num_cores(), nullptr)
+      installed_(machine.num_cores(), nullptr),
+      all_cores_(machine.num_cores())
 {
+    for (std::size_t c = 0; c < all_cores_.size(); ++c)
+        all_cores_[c] = c;
 }
 
 Engine::~Engine() = default;
@@ -160,7 +164,7 @@ Engine::add_thread(SimThread *thread, int core)
         : next_core_++ % machine_->num_cores();
     queues_[c].push_back(thread);
     ++live_threads_;
-    heap_stale_ = true;
+    pick_stale_ = true;
     shards_stale_ = true;
 }
 
@@ -200,68 +204,51 @@ Engine::shard_count()
 
 // --- serial path ---------------------------------------------------------
 
-bool
-Engine::heap_after(const HeapEntry &a, const HeapEntry &b)
+void
+Engine::build_pick(CorePickTree &tree,
+                   const std::vector<std::size_t> &cores) const
 {
-    return a.clock > b.clock || (a.clock == b.clock && a.core > b.core);
+    tree.assign(cores);
+    for (std::size_t i = 0; i < cores.size(); ++i)
+        tree.set_key(i, queues_[cores[i]].empty()
+                            ? CorePickTree::kDrained
+                            : machine_->core(cores[i]).now());
+    tree.build();
 }
 
-void
-Engine::rebuild_heap()
+std::size_t
+Engine::refresh_pick(CorePickTree &tree) const
 {
-    heap_.clear();
-    for (std::size_t c = 0; c < queues_.size(); ++c)
-        if (!queues_[c].empty())
-            heap_.push_back({machine_->core(c).now(), c});
-    std::make_heap(heap_.begin(), heap_.end(), heap_after);
-    heap_stale_ = false;
-}
-
-void
-Engine::sift_down_root()
-{
-    std::size_t n = heap_.size();
-    HeapEntry moving = heap_.front();
-    std::size_t hole = 0;
-    for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
-        if (child + 1 < n && heap_after(heap_[child], heap_[child + 1]))
-            ++child;
-        if (!heap_after(moving, heap_[child]))
-            break;
-        heap_[hole] = heap_[child];
-        hole = child;
+    // Lazy refresh: a key can only understate its core's clock, so once
+    // the root's key is current it is the true (clock, core) minimum —
+    // the core a linear scan would pick, including the lowest-id
+    // tie-break.  The core stepped last is usually the only stale leaf.
+    for (;;) {
+        std::size_t leaf = tree.top();
+        hw::Cycles key = tree.key(leaf);
+        if (key == CorePickTree::kDrained)
+            return kNoCore;
+        std::size_t c = tree.core(leaf);
+        if (queues_[c].empty()) {
+            tree.update(leaf, CorePickTree::kDrained);
+            continue;
+        }
+        hw::Cycles now = machine_->core(c).now();
+        if (now == key)
+            return c;
+        tree.update(leaf, now);
     }
-    heap_[hole] = moving;
 }
 
 std::size_t
 Engine::pick_core()
 {
-    if (heap_stale_)
-        rebuild_heap();
-    // Lazy refresh: clocks only move forward, so an entry can only
-    // understate its core's clock.  Refreshing the root in place and
-    // sifting it down converges on the true (clock, core) minimum — the
-    // same core the old linear scan picked, including the lowest-id
-    // tie-break.  Each core has one entry, so keys are unique and the
-    // minimum does not depend on the heap's layout.  When the stepped
-    // core is still the minimum, the sift stops after two compares.
-    while (!heap_.empty()) {
-        HeapEntry &top = heap_.front();
-        if (queues_[top.core].empty()) {
-            top = heap_.back();
-            heap_.pop_back();
-            if (!heap_.empty())
-                sift_down_root();
-            continue;
-        }
-        hw::Cycles now = machine_->core(top.core).now();
-        if (now == top.clock)
-            return top.core;
-        top.clock = now;
-        sift_down_root();
+    if (pick_stale_) {
+        build_pick(pick_, all_cores_);
+        pick_stale_ = false;
     }
-    return 0;
+    std::size_t c = refresh_pick(pick_);
+    return c == kNoCore ? 0 : c;
 }
 
 void
@@ -279,8 +266,7 @@ Engine::step_core(std::size_t c, std::size_t &live, std::uint64_t &steps,
     hw::Core &core = machine_->core(c);
     // Preempt when the slice expired and another thread waits.
     if (queue.size() > 1 && core.now() - slice_start_[c] >= time_slice_) {
-        queue.push_back(queue.front());
-        queue.pop_front();
+        queue.rotate();
         switch_in(core, *queue.front(), switches);
         slice_start_[c] = core.now();
     }
@@ -298,8 +284,7 @@ Engine::step_core(std::size_t c, std::size_t &live, std::uint64_t &steps,
     // A yielding thread (blocked waiting for work) is descheduled in
     // favour of the next runnable thread on this core.
     if (thread->take_yield() && queue.size() > 1) {
-        queue.push_back(queue.front());
-        queue.pop_front();
+        queue.rotate();
         switch_in(core, *queue.front(), switches);
         slice_start_[c] = core.now();
     }
@@ -357,14 +342,14 @@ Engine::compute_shards()
     };
     std::unordered_map<kernel::Process *, std::size_t> proc_core;
     for (std::size_t c = 0; c < n; ++c) {
-        for (SimThread *t : queues_[c]) {
+        queues_[c].for_each([&](SimThread *t) {
             kernel::Process *p = process_for(*t);
             if (!p)
-                continue;
+                return;
             auto [it, fresh] = proc_core.try_emplace(p, c);
             if (!fresh)
                 parent[find(c)] = find(it->second);
-        }
+        });
     }
     // Group populated cores by root, shards ordered by lowest core id.
     std::unordered_map<std::size_t, std::size_t> root_shard;
@@ -436,10 +421,10 @@ Engine::prepare_epoch_state()
         return;
     for (auto &sp : shards_) {
         for (std::size_t c : sp->cores) {
-            for (SimThread *t : queues_[c]) {
+            queues_[c].for_each([&](SimThread *t) {
                 kernel::Process *p = process_for(*t);
                 if (!p)
-                    continue;
+                    return;
                 if (!p->asid_allocator().has_tag_block())
                     p->asid_allocator().set_tag_block(
                         kernel::reserve_asid_block(kAsidBlockSize),
@@ -448,7 +433,7 @@ Engine::prepare_epoch_state()
                     p->mm().set_ctx_block(
                         kernel::Vds::reserve_ctx_block(kCtxBlockSize),
                         kCtxBlockSize);
-            }
+            });
         }
     }
 }
@@ -522,7 +507,7 @@ Engine::run_epochs(hw::Cycles deadline)
     finish_epoch_state();
     // Both serial-path caches went stale: the run moved clocks and
     // drained queues.
-    heap_stale_ = true;
+    pick_stale_ = true;
     shards_stale_ = true;
     if (pending)
         std::rethrow_exception(pending);
@@ -553,21 +538,13 @@ Engine::run_shard_until(Shard &s, hw::Cycles horizon)
     set_fault_sink(s.has_plan ? &s.plan : nullptr);
     set_exec_context(&s.ctx);
     try {
-        // The serial engine's min-clock loop, restricted to this shard's
-        // cores (ascending scan preserves the lowest-id tie-break).
+        // The serial engine's min-clock loop over this shard's cores.
+        // Clocks and queues changed since the last epoch (barrier-applied
+        // remote flushes, drained threads), so the tree starts fresh.
+        build_pick(s.pick, s.cores);
         while (s.live > 0) {
-            std::size_t best = kNoCore;
-            hw::Cycles best_clock = 0;
-            for (std::size_t c : s.cores) {
-                if (queues_[c].empty())
-                    continue;
-                hw::Cycles clock = machine_->core(c).now();
-                if (best == kNoCore || clock < best_clock) {
-                    best = c;
-                    best_clock = clock;
-                }
-            }
-            if (best == kNoCore || best_clock >= horizon)
+            std::size_t best = refresh_pick(s.pick);
+            if (best == kNoCore || machine_->core(best).now() >= horizon)
                 break;
             step_core(best, s.live, s.steps, s.switches);
         }

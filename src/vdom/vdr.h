@@ -28,8 +28,17 @@ namespace vdom {
 /// iteration stays deterministic lowest-id-first.  A one-entry memo in
 /// front of the search makes the wrvdr fast path (re-checking the vdom the
 /// thread just touched) a single compare.
+///
+/// version() changes on every set() and clear(), so a value derived from
+/// the contents (Process::rebuild_perm_reg's cached register image) can be
+/// keyed on it.  Copying would carry a version over to another object's
+/// history, so a Vdr is not copyable.
 class Vdr {
   public:
+    Vdr() = default;
+    Vdr(const Vdr &) = delete;
+    Vdr &operator=(const Vdr &) = delete;
+
     /// Reads the thread's permission on \p vdom (default: access disable,
     /// except full access on the common vdom0).
     VPerm
@@ -54,6 +63,7 @@ class Vdr {
     VPerm
     set(VdomId vdom, VPerm perm)
     {
+        ++version_;
         VPerm old;
         auto it = lower_bound(vdom);
         bool found = it != perms_.end() && it->first == vdom;
@@ -108,11 +118,36 @@ class Vdr {
     void
     clear()
     {
+        ++version_;
         perms_.clear();
         active_count_ = 0;
         memo_vdom_ = kInvalidVdom;
         memo_perm_ = VPerm::kAccessDisable;
     }
+
+    /// Bumped by every set() and clear(); never repeats for one Vdr.
+    std::uint64_t version() const { return version_; }
+
+    /// Applies to the memo what get() does over a pdom-ordered walk of
+    /// distinct non-common vdoms that starts at \p first and ends at
+    /// \p last, with permission \p last_perm: the first get
+    /// hits when it asks for the memoised vdom, and every later one misses
+    /// and re-memoises.  (When the walk has one vdom and it hits, the get
+    /// leaves the memo as is; so does re-memoising it, because the memo
+    /// always holds its vdom's current permission.)  A cached rebuild
+    /// calls this in place of the gets.
+    void
+    replay_walk(VdomId first, VdomId last, VPerm last_perm) const
+    {
+        if (first == memo_vdom_)
+            telemetry::metric_add(telemetry::Metric::kVdrMemoHit);
+        memo_vdom_ = last;
+        memo_perm_ = last_perm;
+    }
+
+    /// The memo (tests compare cached and from-scratch rebuilds).
+    VdomId memo_vdom() const { return memo_vdom_; }
+    VPerm memo_perm() const { return memo_perm_; }
 
   private:
     std::vector<std::pair<VdomId, VPerm>>::const_iterator
@@ -139,6 +174,7 @@ class Vdr {
     /// deterministic and lowest-id-first.
     std::vector<std::pair<VdomId, VPerm>> perms_;
     std::size_t active_count_ = 0;
+    std::uint64_t version_ = 0;
 
     /// Last-translation memo.  kInvalidVdom never collides with a real
     /// query in a correctness-relevant way: get(kInvalidVdom) returns
