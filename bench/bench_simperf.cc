@@ -175,6 +175,42 @@ BM_PmdDisableRemap2MB(benchmark::State &state)
 BENCHMARK(BM_PmdDisableRemap2MB);
 
 void
+BM_PageTableRangeOps(benchmark::State &state)
+{
+    // The range ops of one 2 MB span per iteration, as the Fig. 7
+    // baselines drive them: a uniform §5.5 disable (one PMD write after
+    // the uniformity check), the same-pdom re-enable, a retag to another
+    // pdom, and a libmpk PROT_NONE eviction with its restore.  The
+    // perf-smoke gate bounds it as a multiple of BM_PageTableMapUnmap,
+    // which only per-PTE branching in the range loops can break.
+    hw::PageTable pt(512);
+    for (hw::Vpn v = 0; v < 512; ++v)
+        pt.map_page(v, 6);
+    for (auto _ : state) {
+        pt.disable_range(0, 512, 1, true);
+        pt.set_pdom_range(0, 512, 6, true);
+        pt.set_pdom_range(0, 512, 7, true);
+        pt.protect_none_range(0, 512);
+        benchmark::DoNotOptimize(pt.set_pdom_range(0, 512, 6, false));
+    }
+}
+BENCHMARK(BM_PageTableRangeOps);
+
+void
+BM_PageTableMapUnmap(benchmark::State &state)
+{
+    // One page mapped and unmapped in an existing leaf: the per-page
+    // cost BM_PageTableRangeOps is gated against.
+    hw::PageTable pt(512);
+    pt.map_page(1, 3);
+    for (auto _ : state) {
+        pt.map_page(0, 3);
+        benchmark::DoNotOptimize(pt.unmap_page(0));
+    }
+}
+BENCHMARK(BM_PageTableMapUnmap);
+
+void
 BM_RadixTranslateSparse(benchmark::State &state)
 {
     // Pages scattered one-per-PMD across the dense directory plus a band

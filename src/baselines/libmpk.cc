@@ -69,6 +69,14 @@ LibMpk::pkey_mprotect(hw::Core &core, hw::Vpn vpn, std::uint64_t pages,
     return VdomStatus::kOk;
 }
 
+LibMpk::ThreadState &
+LibMpk::thread_state(std::uint32_t tid)
+{
+    if (tid >= threads_.size())
+        threads_.resize(tid + 1);
+    return threads_[tid];
+}
+
 std::optional<int>
 LibMpk::choose_victim() const
 {
@@ -148,10 +156,11 @@ LibMpk::pkey_set(hw::Core &core, kernel::Task &task, int vkey, VPerm perm)
     VKey &k = vkeys_[static_cast<std::size_t>(vkey)];
     ++stats_.pkey_sets;
 
-    auto &thread_perms = perms_[task.tid()];
-    VPerm old = VPerm::kAccessDisable;
-    if (auto it = thread_perms.find(vkey); it != thread_perms.end())
-        old = it->second;
+    ThreadState &thread = thread_state(task.tid());
+    std::vector<VPerm> &thread_perms = thread.perms;
+    auto slot = static_cast<std::size_t>(vkey);
+    VPerm old = slot < thread_perms.size() ? thread_perms[slot]
+                                           : VPerm::kAccessDisable;
 
     if (vperm_active(perm) && k.hw_key < 0) {
         // Serialize on libmpk's global metadata lock before touching the
@@ -169,7 +178,7 @@ LibMpk::pkey_set(hw::Core &core, kernel::Task &task, int vkey, VPerm perm)
         if (free_hw < 0) {
             auto victim = choose_victim();
             if (!victim) {
-                std::uint32_t &backoff = backoff_[task.tid()];
+                std::uint32_t &backoff = thread.backoff;
                 if (backoff == 0)
                     backoff = 1;
                 core.charge(hw::CostKind::kBusyWait,
@@ -178,7 +187,7 @@ LibMpk::pkey_set(hw::Core &core, kernel::Task &task, int vkey, VPerm perm)
                 ++stats_.busy_waits;
                 return MpkResult::kWouldBlock;
             }
-            backoff_[task.tid()] = 1;
+            thread.backoff = 1;
             VKey &v = vkeys_[static_cast<std::size_t>(*victim)];
             free_hw = v.hw_key;
             evict(core, v);
@@ -188,9 +197,11 @@ LibMpk::pkey_set(hw::Core &core, kernel::Task &task, int vkey, VPerm perm)
     }
 
     if (vperm_active(perm))
-        backoff_[task.tid()] = 1;
+        thread.backoff = 1;
     core.charge(hw::CostKind::kPermReg, costs.pkey_set);
-    thread_perms[vkey] = perm;
+    if (slot >= thread_perms.size())
+        thread_perms.resize(slot + 1, VPerm::kAccessDisable);
+    thread_perms[slot] = perm;
     if (vperm_active(perm) && !vperm_active(old))
         ++k.users;
     else if (!vperm_active(perm) && vperm_active(old) && k.users > 0)

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "hw/arch.h"
@@ -94,12 +93,23 @@ class LibMpk {
     bool huge_pages_;
     std::vector<VKey> vkeys_;          ///< Indexed by virtual key id.
     std::vector<int> hw_owner_;        ///< hw key -> vkey id (-1 free).
-    /// Per-thread permission view (the paper's multi-threading fix).
-    std::unordered_map<std::uint32_t, std::unordered_map<int, VPerm>> perms_;
-    /// Per-thread spin backoff multiplier: consecutive failed waits back
-    /// off exponentially (standard spinlock etiquette; also keeps the
-    /// simulation's step count bounded in the >14-thread thrash regime).
-    std::unordered_map<std::uint32_t, std::uint32_t> backoff_;
+    /// One thread's libmpk state.
+    struct ThreadState {
+        /// Permission view indexed by vkey (the paper's multi-threading
+        /// fix); keys past the end are kAccessDisable.
+        std::vector<VPerm> perms;
+        /// Spin backoff multiplier: consecutive failed waits back off
+        /// exponentially (standard spinlock etiquette; also keeps the
+        /// simulation's step count bounded in the >14-thread thrash
+        /// regime).
+        std::uint32_t backoff = 0;
+    };
+
+    /// State of thread \p tid, created on first use.
+    ThreadState &thread_state(std::uint32_t tid);
+
+    /// Indexed by tid: tids are dense from 1 within a process.
+    std::vector<ThreadState> threads_;
     /// Global metadata lock: libmpk's eviction/installation path is one
     /// critical section (the paper's port fixes the races, not the
     /// serialization), so concurrent evictors queue behind each other.

@@ -9,6 +9,11 @@
 /// the PMD in O(1) instead of rewriting 512 PTEs, and huge-page mappings
 /// (used by the libmpk 2MB-page baseline in Fig. 7) are single PMD entries.
 ///
+/// A PMD span is one leaf, and a leaf is one zeroed allocation: the PMD
+/// entry followed by its PTEs as three byte planes (present, PROT_NONE,
+/// pdom tag).  Range mutators combine the planes with masks instead of
+/// branching per PTE, so the compiler vectorises them.
+///
 /// The hardware layer is cost-agnostic: every mutator returns the number of
 /// PTE/PMD writes it performed so the caller can charge cycles from the
 /// architecture's CostTable.
@@ -17,22 +22,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "hw/arch.h"
 
 namespace vdom::hw {
-
-/// One page-table entry: present bit plus the domain tag.
-struct Pte {
-    bool present = false;
-    bool prot_none = false;  ///< mprotect(PROT_NONE): faults until restored
-                             ///  (the libmpk eviction mechanism, §3.2).
-    Pdom pdom = 0;
-};
 
 /// Counts of entry writes performed by a page-table mutation.
 struct PtOps {
@@ -83,8 +80,8 @@ class PageTable {
     /// time.  Stops at the first page that is present here or lies under
     /// a disabled PMD, and returns it (vpn+count when there is none).
     /// Adds the writes to \p ops.  Same effect as a per-page loop of
-    /// translate() on both tables and map_page() here.  Both tables must
-    /// share the PMD span.
+    /// translate() on both tables and map_page() here.  \p source must be
+    /// another table with the same PMD span.
     Vpn map_missing_from(const PageTable &source, Vpn vpn,
                          std::uint64_t count, Pdom pdom, PtOps &ops);
 
@@ -153,18 +150,48 @@ class PageTable {
         kHuge,      ///< 2MB mapping with a single domain tag.
     };
 
-    /// One radix leaf: the PMD entry plus its PTE block as a flat array —
-    /// translate and whole-span retags are pointer-arithmetic walks, like
-    /// a real page table (one 4KB PTE page per PMD entry).
+    /// One radix leaf, one zeroed allocation: this PMD header, then the
+    /// span's PTEs as three planes of pmd_span bytes each, like a real
+    /// PTE page hanging off its PMD entry:
+    ///
+    ///     [header][present 0/1 ...][PROT_NONE 0/1 ...][pdom tag ...]
+    ///
+    /// An absent PTE is zero in all three planes, and PROT_NONE is set
+    /// only on present PTEs (mprotect(PROT_NONE): faults until restored,
+    /// the libmpk eviction mechanism, §3.2).  Range loops select with a
+    /// mask built from the present byte instead of branching per PTE, so
+    /// they run as SIMD over 16 PTEs at a time and cannot mispredict on a
+    /// span of mixed PTEs.  Each counts its writes in a local stored once:
+    /// the plane stores are byte stores, which may alias the header (and
+    /// any counter reached through memory), so a per-PTE increment of a
+    /// leaf field would cost a load and a store per PTE and block the
+    /// vectorisation.
     struct Leaf {
         PmdKind kind = PmdKind::kTable;
         Pdom pdom = 0;           ///< For kHuge; for kDisabled: prior pdom.
         bool was_huge = false;   ///< Disabled entry had a huge backing.
-        std::uint32_t present = 0;  ///< Present PTEs under this PMD.
-        std::vector<Pte> ptes;   ///< pmd_span entries, dense.
+        std::uint32_t present = 0;  ///< Present PTEs under this PMD
+                                    ///  (exact; present_pages() sums it).
 
-        explicit Leaf(std::size_t span) : ptes(span) {}
+        /// The present plane; PROT_NONE and pdom follow at +span, +2*span.
+        std::uint8_t *
+        planes()
+        {
+            return reinterpret_cast<std::uint8_t *>(this) + sizeof(Leaf);
+        }
+        const std::uint8_t *
+        planes() const
+        {
+            return reinterpret_cast<const std::uint8_t *>(this) +
+                   sizeof(Leaf);
+        }
     };
+
+    /// Frees a leaf's block (the header is trivially destructible).
+    struct LeafFree {
+        void operator()(Leaf *leaf) const { std::free(leaf); }
+    };
+    using LeafPtr = std::unique_ptr<Leaf, LeafFree>;
 
     /// PMD indices below this use the dense directory (a flat pointer
     /// array — mmap allocates VPNs bottom-up, so real address spaces land
@@ -183,35 +210,39 @@ class PageTable {
         return it == sparse_.end() ? nullptr : it->second.get();
     }
 
+    /// A fresh leaf: one zeroed block, an empty PTE table.
+    LeafPtr new_leaf() const;
+
     /// Leaf covering PMD index \p idx, created on demand.
     Leaf &leaf_grow(Vpn idx);
 
     /// Present and not PROT_NONE: what translate() reports as present
-    /// for a PTE under a table PMD.  The walks test a leaf's kind once
-    /// per span, not per page: PTE writes are byte stores, which may
-    /// alias the kind, so the compiler would reload it after each one.
+    /// for PTE \p off under a table PMD of span \p span.  The walks test
+    /// a leaf's kind once per span, not per page: PTE writes are byte
+    /// stores, which may alias the kind, so the compiler would reload it
+    /// after each one.
     static bool
-    pte_live(const Pte &pte)
+    pte_live(const Leaf &leaf, std::size_t span, Vpn off)
     {
-        return pte.present && !pte.prot_none;
+        const std::uint8_t *pl = leaf.planes();
+        return (pl[off] & ~pl[span + off]) != 0;
     }
 
     /// Writes PTE \p off of \p leaf as present with tag \p pdom (one
     /// PTE write; PROT_NONE is left as it was).
     static void
-    install_pte(Leaf &leaf, Vpn off, Pdom pdom)
+    install_pte(Leaf &leaf, std::size_t span, Vpn off, Pdom pdom)
     {
-        Pte &pte = leaf.ptes[off];
-        if (!pte.present)
-            ++leaf.present;
-        pte.present = true;
-        pte.pdom = pdom;
+        std::uint8_t *pl = leaf.planes();
+        leaf.present += 1u - pl[off];
+        pl[off] = 1;
+        pl[2 * span + off] = pdom;
     }
 
     /// map_page() when the span has no leaf or is not a PTE table.
     PtOps map_page_slow(Vpn vpn, Pdom pdom);
 
-    /// Drops the leaf at \p idx entirely (PMD entry + PTE block).
+    /// Drops the leaf at \p idx entirely (PMD entry + PTE planes).
     void leaf_drop(Vpn idx);
 
     /// True when every page in [base, base+span) is present, same pdom,
@@ -222,8 +253,8 @@ class PageTable {
     unsigned pmd_shift_;  ///< log2(pmd_span_).
     Vpn pmd_mask_;        ///< pmd_span_ - 1: a page's offset in its span.
     Pdom access_never_;
-    std::vector<std::unique_ptr<Leaf>> dense_;
-    std::unordered_map<Vpn, std::unique_ptr<Leaf>> sparse_;
+    std::vector<LeafPtr> dense_;
+    std::unordered_map<Vpn, LeafPtr> sparse_;
 };
 
 inline Translation
@@ -243,15 +274,15 @@ PageTable::translate(Vpn vpn) const
         t.pdom = leaf->pdom;
         return t;
     }
-    const Pte &pte = leaf->ptes[vpn & pmd_mask_];
-    if (!pte.present)
+    const std::uint8_t *pl = leaf->planes() + (vpn & pmd_mask_);
+    if (!pl[0])
         return t;
-    if (pte.prot_none) {
+    if (pl[pmd_span_]) {
         t.prot_none = true;
         return t;
     }
     t.present = true;
-    t.pdom = pte.pdom;
+    t.pdom = pl[2 * pmd_span_];
     return t;
 }
 
@@ -261,7 +292,7 @@ PageTable::map_page(Vpn vpn, Pdom pdom)
     Leaf *leaf = leaf_at(pmd_index(vpn));
     if (!leaf || leaf->kind != PmdKind::kTable)
         return map_page_slow(vpn, pdom);
-    install_pte(*leaf, vpn & pmd_mask_, pdom);
+    install_pte(*leaf, pmd_span_, vpn & pmd_mask_, pdom);
     PtOps ops;
     ops.pte_writes = 1;
     return ops;
@@ -299,20 +330,21 @@ PageTable::demand_map(PageTable &shadow, Vpn vpn, std::uint64_t count,
         }
         PtOps one_pte;
         one_pte.pte_writes = 1;
+        const std::size_t span = pmd_span_;
         for (; v < chunk_end; ++v) {
             Vpn off = v & pmd_mask_;
-            if (leaf && pte_live(leaf->ptes[off]))
+            if (leaf && pte_live(*leaf, span, off))
                 continue;
-            bool filled = !(sleaf && pte_live(sleaf->ptes[off]));
+            bool filled = !(sleaf && pte_live(*sleaf, span, off));
             if (filled) {
                 if (!sleaf)
                     sleaf = &shadow.leaf_grow(idx);
-                install_pte(*sleaf, off, shadow_pdom);
+                install_pte(*sleaf, span, off, shadow_pdom);
             }
             on_shadow(v, filled, filled ? one_pte : PtOps{});
             if (!leaf)
                 leaf = &leaf_grow(idx);
-            install_pte(*leaf, off, pdom);
+            install_pte(*leaf, span, off, pdom);
             on_map(one_pte);
         }
     }

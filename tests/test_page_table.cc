@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "hw/page_table.h"
@@ -432,6 +436,494 @@ TEST(PageTableDifferential, DemandMapMatchesPerPageFaults)
             EXPECT_TRUE(same(events[i], ref_events[i])) << "event " << i;
         expect_same_translations(walk, ref);
         expect_same_translations(walk_shadow, ref_shadow);
+    }
+}
+
+// --- differential: plane layout vs a per-PTE reference ------------------
+
+/// The page table as an array of per-PTE structs under an ordered map of
+/// leaves, each mutator a plain per-PTE loop: the layout and loops the
+/// byte planes replaced, kept here as the reference for the random traces.
+class RefPageTable {
+  public:
+    RefPageTable(std::size_t span, Pdom access_never)
+        : span_(span), access_never_(access_never)
+    {
+    }
+
+    Translation
+    translate(Vpn vpn) const
+    {
+        Translation t;
+        auto it = leaves_.find(vpn / span_);
+        if (it == leaves_.end())
+            return t;
+        const Leaf &leaf = it->second;
+        if (leaf.kind == Kind::kDisabled) {
+            t.pmd_disabled = true;
+            return t;
+        }
+        if (leaf.kind == Kind::kHuge) {
+            t.present = true;
+            t.huge = true;
+            t.pdom = leaf.pdom;
+            return t;
+        }
+        const Pte &pte = leaf.ptes[vpn % span_];
+        if (!pte.present)
+            return t;
+        if (pte.prot_none) {
+            t.prot_none = true;
+            return t;
+        }
+        t.present = true;
+        t.pdom = pte.pdom;
+        return t;
+    }
+
+    PtOps
+    map_page(Vpn vpn, Pdom pdom)
+    {
+        PtOps ops;
+        Leaf &leaf = grow(vpn / span_);
+        if (leaf.kind != Kind::kTable) {
+            if (leaf.kind == Kind::kDisabled) {
+                for (std::size_t off = 0; off < span_; ++off) {
+                    Pte &pte = leaf.ptes[off];
+                    if (pte.present && off != vpn % span_) {
+                        pte.pdom = access_never_;
+                        ++ops.pte_writes;
+                    }
+                }
+            }
+            leaf.kind = Kind::kTable;
+            leaf.was_huge = false;
+            ++ops.pmd_writes;
+        }
+        Pte &pte = leaf.ptes[vpn % span_];
+        pte.present = true;
+        pte.pdom = pdom;
+        ++ops.pte_writes;
+        return ops;
+    }
+
+    PtOps
+    unmap_page(Vpn vpn)
+    {
+        PtOps ops;
+        auto it = leaves_.find(vpn / span_);
+        if (it == leaves_.end() || it->second.kind == Kind::kHuge)
+            return ops;
+        Pte &pte = it->second.ptes[vpn % span_];
+        if (!pte.present)
+            return ops;
+        pte = Pte{};
+        ++ops.pte_writes;
+        return ops;
+    }
+
+    PtOps
+    unmap_huge(Vpn vpn)
+    {
+        PtOps ops;
+        auto it = leaves_.find(vpn / span_);
+        if (it == leaves_.end())
+            return ops;
+        const Leaf &leaf = it->second;
+        if (leaf.kind == Kind::kHuge ||
+            (leaf.kind == Kind::kDisabled && leaf.was_huge)) {
+            leaves_.erase(it);
+            ++ops.pmd_writes;
+        }
+        return ops;
+    }
+
+    PtOps
+    map_huge(Vpn vpn, Pdom pdom)
+    {
+        PtOps ops;
+        Leaf &leaf = grow(vpn / span_);
+        leaf.kind = Kind::kHuge;
+        leaf.pdom = pdom;
+        ++ops.pmd_writes;
+        std::fill(leaf.ptes.begin(), leaf.ptes.end(), Pte{});
+        return ops;
+    }
+
+    PtOps
+    set_pdom_range(Vpn vpn, std::uint64_t count, Pdom pdom, bool fast)
+    {
+        PtOps ops;
+        for (Vpn v = vpn; v < vpn + count;) {
+            Vpn start = v / span_ * span_;
+            Vpn stop = std::min<Vpn>(vpn + count, start + span_);
+            Leaf *leaf = find(v / span_);
+            bool covers = v == start && vpn + count >= start + span_;
+            if (covers && leaf && leaf->kind == Kind::kHuge) {
+                leaf->pdom = pdom;
+                ++ops.pmd_writes;
+            } else if (covers && leaf && leaf->kind == Kind::kDisabled) {
+                ++ops.pmd_writes;
+                if (leaf->was_huge) {
+                    leaf->kind = Kind::kHuge;
+                    leaf->pdom = pdom;
+                    leaf->was_huge = false;
+                } else {
+                    leaf->kind = Kind::kTable;
+                    if (!fast || leaf->pdom != pdom)
+                        ops.pte_writes += retag(*leaf, 0, span_, pdom);
+                }
+            } else if (leaf && leaf->kind == Kind::kTable) {
+                ops.pte_writes += retag(*leaf, v - start, stop - start, pdom);
+            }
+            v = stop;
+        }
+        return ops;
+    }
+
+    PtOps
+    disable_range(Vpn vpn, std::uint64_t count, Pdom access_never, bool fast)
+    {
+        PtOps ops;
+        for (Vpn v = vpn; v < vpn + count;) {
+            Vpn start = v / span_ * span_;
+            Vpn stop = std::min<Vpn>(vpn + count, start + span_);
+            Leaf *leaf = find(v / span_);
+            bool covers = v == start && vpn + count >= start + span_;
+            if (covers && leaf && leaf->kind == Kind::kHuge) {
+                leaf->kind = Kind::kDisabled;
+                leaf->was_huge = true;
+                ++ops.pmd_writes;
+            } else if (covers && fast && leaf && uniform(*leaf)) {
+                leaf->kind = Kind::kDisabled;
+                leaf->pdom = leaf->ptes[0].pdom;
+                ++ops.pmd_writes;
+            } else if (leaf && leaf->kind == Kind::kTable) {
+                for (Vpn off = v - start; off < stop - start; ++off) {
+                    Pte &pte = leaf->ptes[off];
+                    if (pte.present && pte.pdom != access_never) {
+                        pte.pdom = access_never;
+                        ++ops.pte_writes;
+                    }
+                }
+            }
+            v = stop;
+        }
+        return ops;
+    }
+
+    PtOps
+    protect_none_range(Vpn vpn, std::uint64_t count)
+    {
+        PtOps ops;
+        for (Vpn v = vpn; v < vpn + count;) {
+            Vpn start = v / span_ * span_;
+            Vpn stop = std::min<Vpn>(vpn + count, start + span_);
+            Leaf *leaf = find(v / span_);
+            if (leaf && leaf->kind == Kind::kHuge && v == start &&
+                vpn + count >= start + span_) {
+                leaf->kind = Kind::kDisabled;
+                leaf->was_huge = true;
+                ++ops.pmd_writes;
+            } else if (leaf) {
+                for (Vpn off = v - start; off < stop - start; ++off) {
+                    Pte &pte = leaf->ptes[off];
+                    if (pte.present && !pte.prot_none) {
+                        pte.prot_none = true;
+                        ++ops.pte_writes;
+                    }
+                }
+            }
+            v = stop;
+        }
+        return ops;
+    }
+
+    std::uint64_t
+    present_pages() const
+    {
+        std::uint64_t n = 0;
+        for (const auto &[idx, leaf] : leaves_) {
+            (void)idx;
+            if (leaf.kind == Kind::kHuge) {
+                n += span_;
+                continue;
+            }
+            for (const Pte &pte : leaf.ptes)
+                n += pte.present;
+        }
+        return n;
+    }
+
+  private:
+    struct Pte {
+        bool present = false;
+        bool prot_none = false;
+        Pdom pdom = 0;
+    };
+    enum class Kind { kTable, kDisabled, kHuge };
+    struct Leaf {
+        Kind kind = Kind::kTable;
+        Pdom pdom = 0;
+        bool was_huge = false;
+        std::vector<Pte> ptes;
+    };
+
+    Leaf *
+    find(Vpn idx)
+    {
+        auto it = leaves_.find(idx);
+        return it == leaves_.end() ? nullptr : &it->second;
+    }
+
+    Leaf &
+    grow(Vpn idx)
+    {
+        Leaf &leaf = leaves_[idx];
+        if (leaf.ptes.empty())
+            leaf.ptes.resize(span_);
+        return leaf;
+    }
+
+    std::uint64_t
+    retag(Leaf &leaf, std::size_t lo, std::size_t hi, Pdom pdom)
+    {
+        std::uint64_t writes = 0;
+        for (std::size_t off = lo; off < hi; ++off) {
+            Pte &pte = leaf.ptes[off];
+            if (pte.present) {
+                pte.pdom = pdom;
+                pte.prot_none = false;
+                ++writes;
+            }
+        }
+        return writes;
+    }
+
+    bool
+    uniform(const Leaf &leaf) const
+    {
+        if (leaf.kind != Kind::kTable)
+            return false;
+        for (const Pte &pte : leaf.ptes) {
+            if (!pte.present || pte.prot_none ||
+                pte.pdom != leaf.ptes[0].pdom)
+                return false;
+        }
+        return true;
+    }
+
+    std::size_t span_;
+    Pdom access_never_;
+    std::map<Vpn, Leaf> leaves_;
+};
+
+/// One table under test and its reference, mutated in lockstep.
+struct TablePair {
+    PageTable pt;
+    RefPageTable ref;
+
+    TablePair(std::size_t span, Pdom access_never)
+        : pt(span, access_never), ref(span, access_never)
+    {
+    }
+};
+
+void
+expect_same_ops(const PtOps &got, const PtOps &want)
+{
+    ASSERT_EQ(got.pte_writes, want.pte_writes);
+    ASSERT_EQ(got.pmd_writes, want.pmd_writes);
+}
+
+/// Random traces over a window of dense spans plus sparse ones past the
+/// dense directory, on two tables (each the other's source or shadow).
+void
+run_random_trace(std::size_t span, std::uint64_t seed)
+{
+    constexpr Pdom kNever = 1;
+    const Vpn dense_spans = span >= 512 ? 4 : 24;
+    const Vpn sparse_spans = span >= 512 ? 2 : 4;
+    std::vector<std::pair<Vpn, Vpn>> regions = {
+        {0, dense_spans * span},
+        {kSparseIdx * span, (kSparseIdx + sparse_spans) * span}};
+    TablePair a(span, kNever), b(span, kNever);
+    std::mt19937_64 rng(seed);
+    auto below = [&](std::uint64_t n) { return rng() % n; };
+    auto pick_pdom = [&] { return static_cast<Pdom>(below(4)); };
+    // Aligned whole spans (most often: the §5.5 paths need them),
+    // unaligned pieces, multi-span runs and single pages, inside one
+    // region.
+    auto pick_range = [&]() -> std::pair<Vpn, std::uint64_t> {
+        auto [lo, hi] = regions[below(10) < 7 ? 0 : 1];
+        Vpn spans = (hi - lo) / span;
+        std::uint64_t shape = below(10);
+        switch (shape < 4 ? 0 : shape < 6 ? 1 : shape < 8 ? 2 : 3) {
+        case 0: {
+            Vpn first = below(spans);
+            return {lo + first * span, (1 + below(spans - first)) * span};
+        }
+        case 1: {
+            Vpn start = lo + below(hi - lo);
+            return {start, 1 + below(std::min<Vpn>(span, hi - start))};
+        }
+        case 2: {
+            Vpn start = lo + below(hi - lo - span);
+            return {start, span + below(hi - start - span + 1)};
+        }
+        default:
+            return {lo + below(hi - lo), 1};
+        }
+    };
+    auto check = [&](const TablePair &t) {
+        for (auto [lo, hi] : regions) {
+            for (Vpn v = lo; v < hi; ++v) {
+                Translation got = t.pt.translate(v);
+                Translation want = t.ref.translate(v);
+                ASSERT_EQ(got.present, want.present) << "vpn " << v;
+                ASSERT_EQ(got.pmd_disabled, want.pmd_disabled) << "vpn " << v;
+                ASSERT_EQ(got.prot_none, want.prot_none) << "vpn " << v;
+                ASSERT_EQ(got.huge, want.huge) << "vpn " << v;
+                ASSERT_EQ(got.pdom, want.pdom) << "vpn " << v;
+            }
+        }
+        // present_pages() sums each leaf's present count, so this also
+        // checks that count against a rescan of the reference's PTEs.
+        ASSERT_EQ(t.pt.present_pages(), t.ref.present_pages());
+    };
+
+    for (int step = 0; step < 2000; ++step) {
+        SCOPED_TRACE(testing::Message() << "step " << step);
+        bool a_first = below(2) == 0;
+        TablePair &t = a_first ? a : b;
+        TablePair &other = a_first ? b : a;
+        auto [vpn, count] = pick_range();
+        Vpn span_base = vpn / span * span;
+        bool fast = below(2) == 0;
+        Pdom pdom = pick_pdom();
+        switch (below(12)) {
+        case 0:
+            expect_same_ops(t.pt.map_page(vpn, pdom),
+                            t.ref.map_page(vpn, pdom));
+            break;
+        case 1:
+        case 2:
+            // Runs of one pdom build the uniform spans the fast paths need.
+            for (Vpn v = vpn; v < vpn + count; ++v)
+                expect_same_ops(t.pt.map_page(v, pdom),
+                                t.ref.map_page(v, pdom));
+            break;
+        case 3:
+            for (Vpn v = vpn; v < vpn + std::min<Vpn>(count, 4); ++v)
+                expect_same_ops(t.pt.unmap_page(v), t.ref.unmap_page(v));
+            break;
+        case 4:
+            expect_same_ops(t.pt.map_huge(span_base, pdom),
+                            t.ref.map_huge(span_base, pdom));
+            break;
+        case 5:
+            expect_same_ops(t.pt.unmap_huge(vpn), t.ref.unmap_huge(vpn));
+            break;
+        case 6:
+            expect_same_ops(t.pt.set_pdom_range(vpn, count, pdom, fast),
+                            t.ref.set_pdom_range(vpn, count, pdom, fast));
+            break;
+        case 7: {
+            Pdom never = below(4) == 0 ? pdom : kNever;
+            expect_same_ops(t.pt.disable_range(vpn, count, never, fast),
+                            t.ref.disable_range(vpn, count, never, fast));
+            break;
+        }
+        case 8:
+            expect_same_ops(t.pt.protect_none_range(vpn, count),
+                            t.ref.protect_none_range(vpn, count));
+            break;
+        case 9:
+            // A vdom filling a whole span with one pdom, evicted (the
+            // §5.5 PMD disable of a uniform span) and often remapped at
+            // once, to the same pdom or another (the HLRU remap).
+            for (Vpn v = span_base; v < span_base + span; ++v)
+                expect_same_ops(t.pt.map_page(v, pdom),
+                                t.ref.map_page(v, pdom));
+            expect_same_ops(t.pt.disable_range(span_base, span, kNever, true),
+                            t.ref.disable_range(span_base, span, kNever, true));
+            if (below(2) == 0) {
+                Pdom back = below(2) == 0 ? pdom : pick_pdom();
+                expect_same_ops(
+                    t.pt.set_pdom_range(span_base, span, back, fast),
+                    t.ref.set_pdom_range(span_base, span, back, fast));
+            }
+            break;
+        case 10: {
+            // The per-page loop map_missing_from replaced.
+            PtOps want;
+            Vpn want_stop = vpn + count;
+            for (Vpn v = vpn; v < vpn + count; ++v) {
+                Translation here = t.ref.translate(v);
+                if (here.present || here.pmd_disabled) {
+                    want_stop = v;
+                    break;
+                }
+                if (other.ref.translate(v).present)
+                    want += t.ref.map_page(v, pdom);
+            }
+            PtOps got;
+            Vpn stop = t.pt.map_missing_from(other.pt, vpn, count, pdom, got);
+            ASSERT_EQ(stop, want_stop);
+            expect_same_ops(got, want);
+            break;
+        }
+        default: {
+            // One fault per page, the loop demand_map replaced; compare
+            // the callbacks' arguments in order.
+            Pdom shadow_pdom = pick_pdom();
+            std::vector<std::tuple<Vpn, bool, std::uint64_t, std::uint64_t>>
+                want, got;
+            for (Vpn v = vpn; v < vpn + count; ++v) {
+                if (t.ref.translate(v).present)
+                    continue;
+                bool filled = !other.ref.translate(v).present;
+                PtOps shadow_ops;
+                if (filled)
+                    shadow_ops = other.ref.map_page(v, shadow_pdom);
+                want.emplace_back(v, filled, shadow_ops.pte_writes,
+                                  shadow_ops.pmd_writes);
+                PtOps ops = t.ref.map_page(v, pdom);
+                want.emplace_back(v, false, ops.pte_writes, ops.pmd_writes);
+            }
+            Vpn at = 0;
+            t.pt.demand_map(
+                other.pt, vpn, count, shadow_pdom, pdom,
+                [&](Vpn v, bool filled, const PtOps &ops) {
+                    at = v;
+                    got.emplace_back(v, filled, ops.pte_writes,
+                                     ops.pmd_writes);
+                },
+                [&](const PtOps &ops) {
+                    got.emplace_back(at, false, ops.pte_writes,
+                                     ops.pmd_writes);
+                });
+            ASSERT_EQ(got, want);
+            break;
+        }
+        }
+        check(a);
+        check(b);
+        if (testing::Test::HasFatalFailure())
+            return;
+    }
+}
+
+TEST(PageTableDifferential, RandomOpsMatchPerPteReference)
+{
+    for (std::size_t span : {std::size_t{512}, std::size_t{8}}) {
+        for (std::uint64_t seed : {1u, 2u, 3u}) {
+            SCOPED_TRACE(testing::Message()
+                         << "span " << span << " seed " << seed);
+            run_random_trace(span, seed);
+            if (HasFatalFailure())
+                return;
+        }
     }
 }
 
